@@ -11,7 +11,7 @@ vanishes.
 """
 
 from lcslie.corpus import default_corpus_path, load_corpus
-from lcslie.lcs import check_lcs, classify_kind, is_exact, recover_lee_form
+from lcslie.lcs import LCSStructure, check_lcs, recover_lee_form
 
 entries = {e.name: e for e in load_corpus(default_corpus_path())}
 
@@ -20,10 +20,10 @@ entry = entries["rr3-1"]
 g = entry.algebra()
 omega, theta = entry.omega_form(), entry.theta_form()
 
-result = check_lcs(g, omega, theta)
-print("is LCS:", bool(result))
-
-verdict = classify_kind(g, omega, theta)
+# Constructing the structure verifies the pair, once; everything derived
+# from it afterwards (kind, primitive) is computed on demand and cached.
+structure = LCSStructure(g, omega, theta)
+verdict = structure.verdict
 print("kind:", verdict.kind)
 print("automorphism algebra dimension:", len(verdict.automorphism_basis))
 
@@ -35,11 +35,15 @@ print("recovered Lee form equals the recorded one:",
 # A nilpotent example is of the first kind, and its structure is exact:
 # omega = d(eta) - theta ^ eta for an explicit one-form eta.
 heis = entries["heis4"]
-gh = heis.algebra()
-eta = is_exact(gh, heis.omega_form(), heis.theta_form())
-print("nilpotent example kind:", classify_kind(gh, heis.omega_form(), heis.theta_form()).kind)
-print("primitive eta coefficients:", dict(eta.coeffs))
+nilpotent = LCSStructure(heis.algebra(), heis.omega_form(), heis.theta_form())
+print("nilpotent example kind:", nilpotent.verdict.kind)
+print("primitive eta coefficients:", dict(nilpotent.primitive.coeffs))
 
-# Verification failures come with a reason and a witness.
+# Verification failures come with a reason and a witness; constructing a
+# structure from such a pair raises.
 bad = check_lcs(g, omega, heis.theta_form())
 print("deliberately wrong Lee form:", bad.failure)
+try:
+    LCSStructure(g, omega, heis.theta_form())
+except ValueError as exc:
+    print("refused:", exc)

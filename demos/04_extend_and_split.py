@@ -22,6 +22,7 @@ from lcslie.construct import (
 )
 from lcslie.corpus import default_corpus_path, load_corpus
 from lcslie.exterior import KForm, one_form
+from lcslie.lcs import LCSStructure
 from lcslie.notation import format_structure_equations, parse_structure_equations
 
 # --- forward direction -------------------------------------------------
@@ -37,7 +38,7 @@ mat1 = [[Fraction(0)] * 4 for _ in range(4)]
 mat1[1][1] = mat1[2][2] = Fraction(-1)
 rep = Representation(h, standard_symplectic(4), [mat1, zero, zero, zero])
 
-result = extend(h, omega, theta, rep)
+result = extend(LCSStructure(h, omega, theta), rep)
 print("extension:", format_structure_equations(result.algebra))
 print("unimodular:", result.unimodular)
 
@@ -52,16 +53,15 @@ for coeffs in ([1, 0, 0, 0], [Fraction(2, 3), 0, 0, 0], [0, 1, 0, 0]):
 
 entries = {e.name: e for e in load_corpus(default_corpus_path())}
 entry = entries["rr3-1"]
-g = entry.algebra()
-omega4, theta4 = entry.omega_form(), entry.theta_form()
+structure = LCSStructure(entry.algebra(), entry.omega_form(), entry.theta_form())
 
 # The coordinate search finds span{e3, e4}: abelian, an ideal, omega-
 # nondegenerate, and annihilated by theta.
-u_basis = find_nondegenerate_abelian_ideal(g, omega4, theta4)
+u_basis = find_nondegenerate_abelian_ideal(structure)
 print("ideal found:", u_basis)
 
-base, omega_h, theta_h, action = decompose(g, omega4, theta4, u_basis)
-print("base algebra:", format_structure_equations(base))
-print("base omega coefficients:", dict(omega_h.coeffs))
+base, action = decompose(structure, u_basis)
+print("base algebra:", format_structure_equations(base.algebra))
+print("base omega coefficients:", dict(base.omega.coeffs))
 print("action of the first base generator:", action.mats[0])
 # decompose verified internally that extend() rebuilds g on the nose.

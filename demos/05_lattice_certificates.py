@@ -46,9 +46,10 @@ print()
 # integer model and its inverse), so the manifolds are pairwise
 # non-homeomorphic; equal parameters are never separated.
 print("distinguish table for m, n in 3..6 (X = distinct):")
+certs = {m: build_certificate(m) for m in range(3, 7)}
 for m in range(3, 7):
     row = "".join(
-        " X" if distinguish_solvmanifolds(m, n) else " ." for n in range(3, 7)
+        " X" if distinguish_solvmanifolds(certs[m], certs[n]) else " ." for n in range(3, 7)
     )
     print(f"  m={m}:{row}")
 

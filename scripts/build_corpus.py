@@ -222,16 +222,15 @@ def process(row):
 
     kind = None
     exact = None
+    structure = None
     if omega is not None and theta is not None:
-        result = lcs.check_lcs(g, omega, theta)
-        assert result, f"{row['name']}: {result.failure}"
-        verdict = lcs.classify_kind(g, omega, theta)
-        kind = str(verdict.kind)
+        structure = lcs.LCSStructure(g, omega, theta)  # raises if not LCS
+        kind = str(structure.verdict.kind)
         if row["kind"] is not None:
             assert kind == row["kind"], f"{row['name']}: kind {kind}"
         recovered = lcs.recover_lee_form(g, omega)
         assert recovered == theta, f"{row['name']}: Lee form mismatch"
-        exact = lcs.is_exact(g, omega, theta) is not None
+        exact = structure.primitive is not None
         assert exact == novikov.is_exact_class(g, theta, omega), \
             f"{row['name']}: exactness routes disagree"
 
@@ -249,15 +248,15 @@ def process(row):
     if ideal == "auto":
         ideal = None
         if kind == "second":
-            found = construct.find_nondegenerate_abelian_ideal(g, omega, theta)
+            found = construct.find_nondegenerate_abelian_ideal(structure)
             ideal = "none" if found is None else coordinate_indices(found)
     if isinstance(ideal, tuple):
         u_basis = [g.basis_vector(i) for i in ideal]
-        construct.decompose(g, omega, theta, u_basis)  # raises on failure
-        found = construct.find_nondegenerate_abelian_ideal(g, omega, theta)
+        construct.decompose(structure, u_basis)  # raises on failure
+        found = construct.find_nondegenerate_abelian_ideal(structure)
         assert found == u_basis, f"{row['name']}: search found a different ideal"
     elif ideal == "none":
-        assert construct.find_nondegenerate_abelian_ideal(g, omega, theta) is None, \
+        assert construct.find_nondegenerate_abelian_ideal(structure) is None, \
             f"{row['name']}: expected no coordinate ideal"
 
     record = CorpusEntry(

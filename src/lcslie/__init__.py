@@ -34,7 +34,6 @@ from .lcs import (
     automorphism_algebra,
     check_lcs,
     classify_kind,
-    is_exact,
     recover_lee_form,
 )
 from .novikov import CohomologyReport, cohomology, is_exact_class, twisted_differential
@@ -81,7 +80,6 @@ __all__ = [
     "automorphism_algebra",
     "check_lcs",
     "classify_kind",
-    "is_exact",
     "recover_lee_form",
     "CohomologyReport",
     "cohomology",

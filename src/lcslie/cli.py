@@ -14,6 +14,9 @@ subcommand accepts --json for machine-readable output; reports are
 deterministic for identical inputs and flags.  `regress` falls back to
 $LCSLIE_CORPUS and then to the packaged corpus when no file is given.
 
+`regress` runs its records in file order; a record whose checks raise
+is reported as a failed record naming the step, and the run goes on.
+
 Exit status: 0 on success, 1 when a verification fails, 2 on bad usage
 or unparseable input.
 """
@@ -21,14 +24,13 @@ or unparseable input.
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import combinations
 
 from . import construct, corpus, lattice, lcs, novikov
-from .corpus import CorpusEntry, CorpusError
+from .corpus import CorpusEntry, CorpusError, parse_params, parse_rational_list
 from .exterior import KForm, is_unimodular, one_form
-from .lcs import Kind
+from .lcs import Kind, LCSStructure
 from .notation import NotationError, StructureEquationSource, format_structure_equations, parse_structure_equations
 
 
@@ -71,43 +73,13 @@ def _one_form_coefficients(form):
     return tuple(form.coeffs.get((i,), Fraction(0)) for i in range(1, form.dim + 1))
 
 
-def _parse_rationals(text, expected, what):
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != expected:
-        raise UsageError(f"{what} needs {expected} comma-separated entries, got {len(parts)}")
-    try:
-        return tuple(Fraction(p) for p in parts)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad rational in {what}: {exc}") from exc
-
-
-def _parse_params(text):
-    params = {}
-    for binding in (text or "").split(","):
-        binding = binding.strip()
-        if not binding:
-            continue
-        if "=" not in binding:
-            raise UsageError(f"parameter binding {binding!r} lacks '='")
-        key, _, value = binding.partition("=")
-        try:
-            params[key.strip()] = Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad parameter value {value!r}") from exc
-    return params
-
-
 def _load_targets(args, need_forms):
-    """Resolve the check/cohomology target to a list of corpus entries."""
+    """Resolve the check/cohomology target to (entry, algebra, omega, theta) tuples."""
     target = args.target
     if target.lstrip().startswith("("):
-        params = _parse_params(getattr(args, "params", None))
-        entry = CorpusEntry(
-            name="inline",
-            source=StructureEquationSource(target, params),
-            dim=parse_structure_equations(StructureEquationSource(target, params)).dim,
-        )
-        entries = [entry]
+        source = StructureEquationSource(target, parse_params(getattr(args, "params", None) or ""))
+        g = parse_structure_equations(source)
+        targets = [(CorpusEntry(name="inline", source=source, dim=g.dim), g)]
     else:
         if getattr(args, "params", None):
             raise UsageError("--params applies only to an inline tuple target")
@@ -116,23 +88,24 @@ def _load_targets(args, need_forms):
             entries = [e for e in entries if e.name == args.name]
             if not entries:
                 raise UsageError(f"no record named {args.name!r} in {target}")
+        targets = [(entry, entry.algebra()) for entry in entries]
     resolved = []
-    for entry in entries:
+    for entry, g in targets:
         omega = entry.omega
         theta = entry.theta
         if getattr(args, "omega", None) is not None:
-            if len(entries) > 1:
+            if len(targets) > 1:
                 raise UsageError("--omega needs a single record (use --name)")
-            omega = _parse_rationals(args.omega, entry.dim * (entry.dim - 1) // 2, "--omega")
+            omega = parse_rational_list(args.omega, g.dim * (g.dim - 1) // 2, "--omega")
         if getattr(args, "theta", None) is not None:
-            if len(entries) > 1:
+            if len(targets) > 1:
                 raise UsageError("--theta needs a single record (use --name)")
-            theta = _parse_rationals(args.theta, entry.dim, "--theta")
-        resolved.append((entry, omega, theta))
-    if need_forms:
-        for entry, omega, theta in resolved:
-            if len(resolved) == 1 and (omega is None or theta is None):
-                raise UsageError(f"record {entry.name!r} carries no omega/theta; pass --omega/--theta")
+            theta = parse_rational_list(args.theta, g.dim, "--theta")
+        resolved.append((entry, g, omega, theta))
+    if need_forms and len(resolved) == 1:
+        entry, _g, omega, theta = resolved[0]
+        if omega is None or theta is None:
+            raise UsageError(f"record {entry.name!r} carries no omega/theta; pass --omega/--theta")
     return resolved
 
 
@@ -140,32 +113,30 @@ def cmd_check(args):
     resolved = _load_targets(args, need_forms=True)
     reports = []
     failed = False
-    for entry, omega_c, theta_c in resolved:
+    for entry, g, omega_c, theta_c in resolved:
         if omega_c is None or theta_c is None:
             reports.append({"name": entry.name, "skipped": "no omega/theta recorded"})
             continue
-        g = entry.algebra()
         pairs = list(combinations(range(1, g.dim + 1), 2))
         omega = KForm(g.dim, 2, dict(zip(pairs, omega_c)))
         theta = one_form(g.dim, theta_c)
-        result = lcs.check_lcs(g, omega, theta)
-        report = {"name": entry.name, "lcs": bool(result)}
-        if not result:
-            report["failure"] = result.failure
+        try:
+            structure = LCSStructure(g, omega, theta)
+        except ValueError as exc:
+            failure = str(exc).removeprefix("not an LCS structure: ")
+            reports.append({"name": entry.name, "lcs": False, "failure": failure})
             failed = True
-        else:
-            verdict = lcs.classify_kind(g, omega, theta)
-            eta = lcs.is_exact(g, omega, theta)
-            report["kind"] = str(verdict.kind)
-            report["exact"] = eta is not None
-            report["unimodular"] = is_unimodular(g)
-            report["automorphism_basis"] = [
-                [str(c) for c in vec] for vec in verdict.automorphism_basis
-            ]
-            report["_basis_text"] = [
-                _format_vector(vec, g.labels) for vec in verdict.automorphism_basis
-            ]
-        reports.append(report)
+            continue
+        verdict = structure.verdict
+        reports.append({
+            "name": entry.name,
+            "lcs": True,
+            "kind": str(verdict.kind),
+            "exact": structure.primitive is not None,
+            "unimodular": is_unimodular(g),
+            "automorphism_basis": [[str(c) for c in vec] for vec in verdict.automorphism_basis],
+            "_basis_text": [_format_vector(vec, g.labels) for vec in verdict.automorphism_basis],
+        })
     if args.json:
         for report in reports:
             report.pop("_basis_text", None)
@@ -190,8 +161,7 @@ def cmd_check(args):
 def cmd_cohomology(args):
     resolved = _load_targets(args, need_forms=False)
     reports = []
-    for entry, _omega, theta_c in resolved:
-        g = entry.algebra()
+    for entry, g, _omega, theta_c in resolved:
         theta = one_form(g.dim, theta_c) if theta_c is not None else one_form(g.dim, [0] * g.dim)
         report = novikov.cohomology(g, theta)
         reports.append((entry.name, theta_c, report))
@@ -245,7 +215,7 @@ def _parse_rep_file(path, hdim):
         raise UsageError(f"{path}: vdim must be a positive even integer")
 
     if "omega0" in fields:
-        coeffs = _parse_rationals(fields.pop("omega0"), vdim * (vdim - 1) // 2, "omega0")
+        coeffs = parse_rational_list(fields.pop("omega0"), vdim * (vdim - 1) // 2, "omega0")
         pairs = list(combinations(range(1, vdim + 1), 2))
         gram = [[Fraction(0)] * vdim for _ in range(vdim)]
         for (i, j), c in zip(pairs, coeffs):
@@ -267,7 +237,7 @@ def _parse_rep_file(path, hdim):
         rows = [r.strip() for r in text.split(";")]
         if len(rows) != vdim:
             raise UsageError(f"{path}: {key} needs {vdim} rows, got {len(rows)}")
-        mats.append(tuple(_parse_rationals(row, vdim, f"{key} row") for row in rows))
+        mats.append(tuple(parse_rational_list(row, vdim, f"{key} row") for row in rows))
     if fields:
         raise UsageError(f"{path}: unknown keys {sorted(fields)}")
     return space, mats
@@ -282,17 +252,16 @@ def cmd_extend(args):
     if entry.omega is None or entry.theta is None:
         raise UsageError(f"record {args.name!r} carries no omega/theta")
     h = entry.algebra()
-    omega = entry.omega_form()
     theta = entry.theta_form()
     space, mats = _parse_rep_file(args.rep_file, h.dim)
     try:
         rep = construct.Representation(h, space, tuple(mats))
     except ValueError as exc:
         raise VerificationFailure(f"representation check failed: {exc}") from exc
-    verdict = construct.is_lcs_representation(rep, theta)
-    if not verdict:
-        raise VerificationFailure(f"representation is not compatible: {verdict.failure}")
-    result = construct.extend(h, omega, theta, rep)
+    try:
+        result = construct.extend(LCSStructure(h, entry.omega_form(), theta), rep)
+    except construct.PreconditionError as exc:
+        raise VerificationFailure(f"representation is not compatible: {exc.reason}") from exc
     g = result.algebra
 
     record = CorpusEntry(
@@ -378,13 +347,11 @@ def cmd_lattice(args):
     failed = False
     pairs = []
     if args.distinguish:
-        for a in ms:
-            for b in ms:
-                if a > b:
-                    continue
+        for i, a in enumerate(certs):
+            for b in certs[i:]:
                 distinct = lattice.distinguish_solvmanifolds(a, b, tol=args.tol)
-                pairs.append((a, b, distinct))
-                if distinct != (a != b):
+                pairs.append((a.m, b.m, distinct))
+                if distinct != (a.m != b.m):
                     failed = True
 
     if args.json:
@@ -415,73 +382,75 @@ def cmd_lattice(args):
 
 
 def _regress_entry(entry):
+    """(name, failures, notes) for one record.
+
+    A step that raises ValueError or RuntimeError ends the record as a
+    failure naming the step, so that one bad record cannot abort the run.
+    """
     failures = []
     notes = []
-    g = None
+    step = "parse"
     try:
         g = entry.algebra()
-    except NotationError as exc:
-        return entry.name, [f"parse: {exc}"], notes
-    if g.dim != entry.dim:
-        failures.append(f"declared dim {entry.dim} but tuple has arity {g.dim}")
-        return entry.name, failures, notes
+        if g.dim != entry.dim:
+            return entry.name, [f"declared dim {entry.dim} but tuple has arity {g.dim}"], notes
 
-    if entry.unimodular is not None:
-        actual = is_unimodular(g)
-        if actual != entry.unimodular:
-            failures.append(f"unimodular: expected {entry.unimodular}, computed {actual}")
+        if entry.unimodular is not None:
+            actual = is_unimodular(g)
+            if actual != entry.unimodular:
+                failures.append(f"unimodular: expected {entry.unimodular}, computed {actual}")
 
-    omega = entry.omega_form()
-    theta = entry.theta_form()
+        omega = entry.omega_form()
+        theta = entry.theta_form()
 
-    verified = False
-    if omega is not None and theta is not None:
-        result = lcs.check_lcs(g, omega, theta)
-        if not result:
-            failures.append(f"check_lcs: {result.failure}")
-        else:
-            verified = True
-
-    if verified:
-        verdict = lcs.classify_kind(g, omega, theta)
-        if entry.kind is not None and str(verdict.kind) != entry.kind:
-            failures.append(f"kind: expected {entry.kind}, computed {verdict.kind}")
-        recovered = lcs.recover_lee_form(g, omega)
-        if recovered != theta:
-            failures.append("recover_lee_form does not reproduce the recorded theta")
-        eta = lcs.is_exact(g, omega, theta)
-        via_rank = novikov.is_exact_class(g, theta, omega)
-        if (eta is not None) != via_rank:
-            failures.append("exactness: primitive search and rank computation disagree")
-        if is_unimodular(g) and (eta is not None) != (verdict.kind is Kind.FIRST_KIND):
-            failures.append("exactness does not match the kind on a unimodular algebra")
-
-    if entry.extn is not None:
-        if theta is None:
-            failures.append("extn recorded but no theta")
-        else:
-            value = construct.unimodular_extension_dim(g, theta)
-            expected = None if entry.extn == "none" else entry.extn
-            if value != expected:
-                failures.append(f"extn: expected {entry.extn}, computed {value}")
-
-    if entry.ideal is not None and verified and not failures:
-        if entry.ideal == "none":
-            found = construct.find_nondegenerate_abelian_ideal(g, omega, theta)
-            if found is not None:
-                failures.append("expected the coordinate-ideal search to fail, but it found one")
-            else:
-                notes.append("no decomposable coordinate ideal (as recorded)")
-        else:
-            u_basis = [g.basis_vector(i) for i in entry.ideal]
+        structure = None
+        if omega is not None and theta is not None:
             try:
-                construct.decompose(g, omega, theta, u_basis)
-            except (construct.PreconditionError, RuntimeError) as exc:
-                failures.append(f"decompose on ideal {entry.ideal}: {exc}")
-            found = construct.find_nondegenerate_abelian_ideal(g, omega, theta)
-            if found != [g.basis_vector(i) for i in entry.ideal]:
-                failures.append(f"ideal search did not return the recorded ideal {entry.ideal}")
+                structure = LCSStructure(g, omega, theta)
+            except ValueError as exc:
+                failures.append(f"check_lcs: {exc}")
 
+        if structure is not None:
+            step = "classify"
+            verdict = structure.verdict
+            if entry.kind is not None and str(verdict.kind) != entry.kind:
+                failures.append(f"kind: expected {entry.kind}, computed {verdict.kind}")
+            step = "recover_lee_form"
+            if lcs.recover_lee_form(g, omega) != theta:
+                failures.append("recover_lee_form does not reproduce the recorded theta")
+            step = "exactness"
+            exact = structure.primitive is not None
+            if exact != novikov.is_exact_class(g, theta, omega):
+                failures.append("exactness: primitive search and rank computation disagree")
+            if is_unimodular(g) and exact != (verdict.kind is Kind.FIRST_KIND):
+                failures.append("exactness does not match the kind on a unimodular algebra")
+
+        if entry.extn is not None:
+            step = "extn"
+            if theta is None:
+                failures.append("extn recorded but no theta")
+            else:
+                value = construct.unimodular_extension_dim(g, theta)
+                expected = None if entry.extn == "none" else entry.extn
+                if value != expected:
+                    failures.append(f"extn: expected {entry.extn}, computed {value}")
+
+        if entry.ideal is not None and structure is not None and not failures:
+            if entry.ideal == "none":
+                step = "ideal search"
+                if construct.find_nondegenerate_abelian_ideal(structure) is not None:
+                    failures.append("expected the coordinate-ideal search to fail, but it found one")
+                else:
+                    notes.append("no decomposable coordinate ideal (as recorded)")
+            else:
+                step = f"decompose on ideal {entry.ideal}"
+                u_basis = [g.basis_vector(i) for i in entry.ideal]
+                construct.decompose(structure, u_basis)
+                step = "ideal search"
+                if construct.find_nondegenerate_abelian_ideal(structure) != u_basis:
+                    failures.append(f"ideal search did not return the recorded ideal {entry.ideal}")
+    except (ValueError, RuntimeError) as exc:
+        failures.append(f"{step}: {exc}")
     return entry.name, failures, notes
 
 
@@ -491,9 +460,7 @@ def cmd_regress(args):
     if not entries:
         print(f"warning: corpus {path} is empty")
         return 0
-    workers = max(1, min(args.jobs, len(entries)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_regress_entry, entries))
+    results = [_regress_entry(entry) for entry in entries]
 
     failed = sum(1 for _, failures, _ in results if failures)
     if args.json:
@@ -565,7 +532,6 @@ def _build_parser():
     p_reg = sub.add_parser("regress", help="recompute all recorded verdicts")
     p_reg.add_argument("target", nargs="?",
                        help=f"corpus file (default: ${corpus.ENV_CORPUS} or the packaged corpus)")
-    p_reg.add_argument("--jobs", type=int, default=8, help="worker threads (default 8)")
     p_reg.add_argument("--json", action="store_true")
     p_reg.set_defaults(func=cmd_regress)
 

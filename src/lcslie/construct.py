@@ -22,15 +22,7 @@ from itertools import combinations
 from . import linalg
 from .algebra import LieAlgebra, change_basis
 from .exterior import KForm, adjoint, check_jacobi, is_unimodular, one_form, pullback
-from .lcs import (
-    CheckResult,
-    Kind,
-    LCSStructure,
-    check_lcs,
-    classify_kind,
-    gram_matrix,
-    is_exact,
-)
+from .lcs import CheckResult, Kind, LCSStructure
 
 
 class PreconditionError(ValueError):
@@ -182,16 +174,15 @@ def _block_form(h_dim, total, omega, space):
     return KForm(total, 2, coeffs)
 
 
-def extend(h, omega, theta, rep):
-    """Build h ltimes_pi V with the block LCS structure, fully verified.
+def extend(structure, rep):
+    """Build h ltimes_pi V with the block LCS structure on it.
 
     The basis of the result is the h basis followed by the V basis.
-    Raises on any precondition failure; the returned structure has been
-    checked to be LCS, of the second kind, and non-exact.
+    Raises on any precondition failure; the returned structure is
+    verified as LCS and, for theta != 0, checked to be of the second kind
+    and non-exact.
     """
-    result = check_lcs(h, omega, theta)
-    if not result:
-        raise PreconditionError(f"(omega, theta) is not LCS on h: {result.failure}", result.witness)
+    h, omega, theta = structure.algebra, structure.omega, structure.theta
     if rep.acting != h:
         raise PreconditionError("representation does not act on the given algebra")
     rep_check = is_lcs_representation(rep, theta)
@@ -216,13 +207,13 @@ def extend(h, omega, theta, rep):
 
     omega_ext = _block_form(hd, total, omega, rep.space)
     theta_ext = one_form(total, [theta.coefficient((i,)) for i in range(1, hd + 1)] + [0] * vd)
-    structure = LCSStructure(g, omega_ext, theta_ext)
-    verdict = classify_kind(g, omega_ext, theta_ext)
-    if verdict.kind is not Kind.SECOND_KIND and not theta.is_zero():
-        raise RuntimeError("extension failed to be of the second kind")
-    if not theta.is_zero() and is_exact(g, omega_ext, theta_ext) is not None:
-        raise RuntimeError("extension is exact, contradicting the construction")
-    return ExtensionResult(g, structure, is_unimodular(g))
+    extended = LCSStructure(g, omega_ext, theta_ext)
+    if not theta.is_zero():
+        if extended.verdict.kind is not Kind.SECOND_KIND:
+            raise RuntimeError("extension failed to be of the second kind")
+        if extended.primitive is not None:
+            raise RuntimeError("extension is exact, contradicting the construction")
+    return ExtensionResult(g, extended, is_unimodular(g))
 
 
 def unimodular_extension_dim(h, theta):
@@ -251,6 +242,12 @@ def unimodular_extension_dim(h, theta):
     return n_value
 
 
+def _omega_on(structure, left, right):
+    """Matrix of omega(l, r) for l in left and r in right, from the Gram matrix."""
+    images = [linalg.mat_vec(structure.gram, r) for r in right]
+    return [[sum((x * y for x, y in zip(l, image)), Fraction(0)) for image in images] for l in left]
+
+
 def _span_matrix(vectors):
     return linalg.transpose(vectors)
 
@@ -262,8 +259,9 @@ def _coordinates_in(vectors, x):
     return coords
 
 
-def check_decompose_preconditions(g, omega, theta, u_basis):
+def check_decompose_preconditions(structure, u_basis):
     """Raise PreconditionError naming the first failed requirement on u."""
+    g, theta = structure.algebra, structure.theta
     if not u_basis:
         raise PreconditionError("empty ideal basis")
     if linalg.rank(u_basis) != len(u_basis):
@@ -277,7 +275,7 @@ def check_decompose_preconditions(g, omega, theta, u_basis):
         for b in range(a + 1, len(u_basis)):
             if any(g.bracket(u_basis[a], u_basis[b])):
                 raise PreconditionError("ideal is not abelian", (a + 1, b + 1))
-    restricted = [[omega.evaluate(ua, ub) for ub in u_basis] for ua in u_basis]
+    restricted = _omega_on(structure, u_basis, u_basis)
     if linalg.det(restricted) == 0:
         kernel = linalg.nullspace(restricted)
         raise PreconditionError("omega degenerates on the ideal", kernel[0])
@@ -286,23 +284,20 @@ def check_decompose_preconditions(g, omega, theta, u_basis):
             raise PreconditionError("ideal is not contained in ker(theta)", u)
 
 
-def decompose(g, omega, theta, u_basis):
+def decompose(structure, u_basis):
     """Split g along a nondegenerate abelian ideal u contained in ker(theta).
 
-    Returns (h, omega_h, theta_h, rep) where h is the induced algebra on
-    the omega-orthogonal complement of u and rep is its adjoint action
-    on u.  Rebuilding with extend reproduces g in the basis (complement
+    Returns (base, rep): base is the LCS structure induced on the
+    omega-orthogonal complement h of u, and rep is the adjoint action of
+    h on u.  Rebuilding with extend reproduces g in the basis (complement
     basis, then u basis); the round trip is verified here against the
     change-of-basis image of the original structure.
     """
-    result = check_lcs(g, omega, theta)
-    if not result:
-        raise PreconditionError(f"(omega, theta) is not LCS on g: {result.failure}", result.witness)
+    g, omega, theta = structure.algebra, structure.omega, structure.theta
     u_basis = [[Fraction(x) for x in u] for u in u_basis]
-    check_decompose_preconditions(g, omega, theta, u_basis)
+    check_decompose_preconditions(structure, u_basis)
 
-    rows = [[omega.evaluate(g.basis_vector(i), u) for i in range(1, g.dim + 1)] for u in u_basis]
-    perp = linalg.nullspace(rows)
+    perp = linalg.nullspace([linalg.mat_vec(structure.gram, u) for u in u_basis])
     if len(perp) + len(u_basis) != g.dim:
         raise RuntimeError("orthogonal complement has the wrong dimension")
     for x in perp:
@@ -318,29 +313,24 @@ def decompose(g, omega, theta, u_basis):
             h_brackets[(i, j)] = coords
     h = LieAlgebra(hd, h_brackets)
 
+    omega_perp = _omega_on(structure, perp, perp)
     omega_h = KForm(
-        hd,
-        2,
-        {
-            (i, j): omega.evaluate(perp[i - 1], perp[j - 1])
-            for i, j in combinations(range(1, hd + 1), 2)
-        },
+        hd, 2, {(i, j): omega_perp[i - 1][j - 1] for i, j in combinations(range(1, hd + 1), 2)}
     )
     theta_h = one_form(hd, [theta.evaluate(x) for x in perp])
+    base = LCSStructure(h, omega_h, theta_h)
 
-    gram_u = [[omega.evaluate(ua, ub) for ub in u_basis] for ua in u_basis]
-    space = SymplecticSpace(len(u_basis), gram_u)
+    space = SymplecticSpace(len(u_basis), _omega_on(structure, u_basis, u_basis))
     mats = []
     for x in perp:
         cols = [_coordinates_in(u_basis, g.bracket(x, u)) for u in u_basis]
         mats.append(linalg.transpose(cols))
     rep = Representation(h, space, mats)
 
-    verdict = classify_kind(g, omega, theta)
-    if verdict.kind is not Kind.SECOND_KIND:
+    if structure.verdict.kind is not Kind.SECOND_KIND:
         raise RuntimeError("decomposable structure failed to be of the second kind")
 
-    rebuilt = extend(h, omega_h, theta_h, rep)
+    rebuilt = extend(base, rep)
     basis_cols = _span_matrix(perp + u_basis)
     if change_basis(g, basis_cols) != rebuilt.algebra:
         raise RuntimeError("round trip does not reproduce the algebra")
@@ -348,20 +338,18 @@ def decompose(g, omega, theta, u_basis):
         raise RuntimeError("round trip does not reproduce omega")
     if pullback(theta, basis_cols) != rebuilt.structure.theta:
         raise RuntimeError("round trip does not reproduce theta")
-    return h, omega_h, theta_h, rep
+    return base, rep
 
 
-def find_nondegenerate_abelian_ideal(g, omega, theta, extra_candidates=()):
+def find_nondegenerate_abelian_ideal(structure, extra_candidates=()):
     """First coordinate subspace (or supplied candidate) usable by decompose.
 
     Searches the even-dimensional coordinate subspaces in order of
     dimension, then the extra candidates.  Returns the basis or None;
     None means the search failed, not that no such ideal exists.
     """
-    result = check_lcs(g, omega, theta)
-    if not result:
-        raise ValueError(f"not an LCS structure: {result.failure}")
-    if theta.is_zero():
+    g = structure.algebra
+    if structure.theta.is_zero():
         raise ValueError("theta = 0: the structure is symplectic, not twisted")
     candidates = []
     for size in range(2, g.dim + 1, 2):
@@ -370,7 +358,7 @@ def find_nondegenerate_abelian_ideal(g, omega, theta, extra_candidates=()):
     candidates.extend([[Fraction(x) for x in u] for u in cand] for cand in extra_candidates)
     for cand in candidates:
         try:
-            check_decompose_preconditions(g, omega, theta, cand)
+            check_decompose_preconditions(structure, cand)
         except PreconditionError:
             continue
         return cand

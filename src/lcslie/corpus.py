@@ -85,29 +85,35 @@ class CorpusEntry:
         return one_form(self.dim, self.theta)
 
 
-def _parse_rational_list(text, expected, what, lineno):
+def _at(lineno):
+    return "" if lineno is None else f"line {lineno}: "
+
+
+def parse_rational_list(text, expected, what, lineno=None):
+    """Exactly `expected` comma-separated rationals; errors name `what` and the line."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != expected:
-        raise CorpusError(f"line {lineno}: {what} needs {expected} entries, got {len(parts)}")
+        raise CorpusError(f"{_at(lineno)}{what} needs {expected} entries, got {len(parts)}")
     try:
         return tuple(Fraction(p) for p in parts)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CorpusError(f"line {lineno}: bad rational in {what}: {exc}") from exc
+        raise CorpusError(f"{_at(lineno)}bad rational in {what}: {exc}") from exc
 
 
-def _parse_params(text, lineno):
+def parse_params(text, lineno=None):
+    """Comma-separated bindings "a=-1/3,b=2" to a dict of Fractions."""
     params = {}
     for binding in text.split(","):
         binding = binding.strip()
         if not binding:
             continue
         if "=" not in binding:
-            raise CorpusError(f"line {lineno}: parameter binding {binding!r} lacks '='")
+            raise CorpusError(f"{_at(lineno)}parameter binding {binding!r} lacks '='")
         key, _, value = binding.partition("=")
         try:
             params[key.strip()] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise CorpusError(f"line {lineno}: bad parameter value {value!r}") from exc
+            raise CorpusError(f"{_at(lineno)}bad parameter value {value!r}") from exc
     return params
 
 
@@ -133,14 +139,14 @@ def parse_entry(line, lineno=0):
         dim = int(fields["dim"])
     except ValueError as exc:
         raise CorpusError(f"line {lineno}: dim is not an integer") from exc
-    params = _parse_params(fields.get("params", ""), lineno)
+    params = parse_params(fields.get("params", ""), lineno)
     source = StructureEquationSource(fields["eq"], params)
 
     omega = theta = None
     if "omega" in fields:
-        omega = _parse_rational_list(fields["omega"], dim * (dim - 1) // 2, "omega", lineno)
+        omega = parse_rational_list(fields["omega"], dim * (dim - 1) // 2, "omega", lineno)
     if "theta" in fields:
-        theta = _parse_rational_list(fields["theta"], dim, "theta", lineno)
+        theta = parse_rational_list(fields["theta"], dim, "theta", lineno)
 
     kind = fields.get("kind")
     if kind is not None and kind not in ("symplectic", "first", "second"):

@@ -218,8 +218,8 @@ def _spectra_differ(s1, s2, tol):
     return bool(np.max(np.abs(s1 - s2)) > tol)
 
 
-def distinguish_solvmanifolds(m, n, tol=DEFAULT_TOL):
-    """True iff the m-th and n-th quotients cannot be homeomorphic.
+def distinguish_solvmanifolds(cert_m, cert_n, tol=DEFAULT_TOL):
+    """True iff the quotients of two certificates cannot be homeomorphic.
 
     The integer models R_m = diag(1, D_m) of the two manifolds would be
     conjugate to each other or to an inverse if the manifolds matched,
@@ -227,8 +227,6 @@ def distinguish_solvmanifolds(m, n, tol=DEFAULT_TOL):
     For this family the spectra are closed under inversion, and the test
     is true exactly when m != n.
     """
-    cert_m = build_certificate(m, tol)
-    cert_n = build_certificate(n, tol)
     r_m = _block_diag(np.eye(1), cert_m.d_m.astype(float))
     r_n = _block_diag(np.eye(1), cert_n.d_m.astype(float))
     s_m = _spectrum(r_m)

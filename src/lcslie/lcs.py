@@ -9,8 +9,9 @@ reals, so it is either surjective (first kind) or identically zero
 Everything here is exact; there are no tolerances.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,10 +22,8 @@ from .exterior import (
     differential_matrix,
     form_basis,
     form_to_vector,
-    is_unimodular,
     vector_to_form,
     wedge,
-    zero_form,
 )
 
 
@@ -58,7 +57,13 @@ class KindVerdict:
 
 @dataclass(frozen=True)
 class LCSStructure:
-    """A verified pair (omega, theta) on a Lie algebra."""
+    """A verified pair (omega, theta) on a Lie algebra.
+
+    The constructor runs check_lcs, and it is the only place where a pair
+    is verified: code that takes a structure trusts it.  The Gram matrix,
+    the kind verdict and the primitive are computed on first use and then
+    cached on the instance.
+    """
 
     algebra: object
     omega: KForm
@@ -68,6 +73,45 @@ class LCSStructure:
         result = check_lcs(self.algebra, self.omega, self.theta)
         if not result:
             raise ValueError(f"not an LCS structure: {result.failure}")
+
+    @cached_property
+    def gram(self):
+        """Skew matrix of omega(e_i, e_j)."""
+        return gram_matrix(self.omega)
+
+    @cached_property
+    def verdict(self):
+        """Symplectic, first kind, or second kind, with its evidence.
+
+        Over the reals the Lee morphism is surjective exactly when it is
+        nonzero somewhere on g_omega, so the first/second distinction
+        reduces to evaluating theta on an automorphism-algebra basis.
+        """
+        auto = automorphism_algebra(self.algebra, self.omega)
+        lee_values = [self.theta.evaluate(x) for x in auto]
+        if self.theta.is_zero():
+            kind = Kind.SYMPLECTIC
+        elif any(lee_values):
+            kind = Kind.FIRST_KIND
+        else:
+            kind = Kind.SECOND_KIND
+        return KindVerdict(kind, auto, lee_values)
+
+    @cached_property
+    def primitive(self):
+        """A 1-form eta with d(eta) - theta ^ eta = omega, or None if not exact."""
+        matrix = differential_matrix(self.algebra, 1, self.theta)
+        solution = linalg.solve(matrix, form_to_vector(self.omega))
+        return None if solution is None else vector_to_form(self.algebra.dim, 1, solution)
+
+
+def classify_kind(g, omega, theta):
+    """The kind verdict of LCSStructure(g, omega, theta); raises if not LCS.
+
+    Kept for callers of the earlier free-function API, such as the
+    benchmark's tracer test; code that holds a structure reads its verdict.
+    """
+    return LCSStructure(g, omega, theta).verdict
 
 
 def gram_matrix(omega):
@@ -107,78 +151,41 @@ def check_lcs(g, omega, theta):
     return CheckResult(True)
 
 
+def _covector(gram, v):
+    """omega(v, .) as a row: the combination of Gram rows weighted by v."""
+    row = [Fraction(0)] * len(gram)
+    for c, gram_row in zip(v, gram):
+        if c:
+            row = [r + c * x for r, x in zip(row, gram_row)]
+    return row
+
+
 def automorphism_algebra(g, omega):
     """Exact basis of g_omega = {X : omega([X,Y],Z) + omega(Y,[X,Z]) = 0}.
 
-    Assembles the C(n,2) x n linear system over the coordinates of X and
-    returns a nullspace basis.  The result is checked to be closed under
-    the bracket, as it must be for a subalgebra.
+    With G the Gram matrix of omega, X = sum x_i e_i lies in g_omega
+    exactly when ad_X^T G + G ad_X = 0.  The (j, k) entry of
+    ad_{e_i}^T G + G ad_{e_i} is omega([e_i,e_j], e_k) - omega([e_i,e_k], e_j),
+    read off the brackets and G; the entries with j < k form column i
+    of a C(n,2) x n system.  The result is its nullspace, checked to be
+    closed under the bracket, as it must be for a subalgebra.
     """
     if omega.dim != g.dim or omega.degree != 2:
         raise ValueError("omega must be a 2-form on the algebra")
     n = g.dim
-    basis = [g.basis_vector(i) for i in range(1, n + 1)]
-    rows = []
-    for j, k in combinations(range(1, n + 1), 2):
-        ej, ek = basis[j - 1], basis[k - 1]
-        row = []
-        for i in range(1, n + 1):
-            ei = basis[i - 1]
-            row.append(
-                omega.evaluate(g.bracket(ei, ej), ek)
-                + omega.evaluate(ej, g.bracket(ei, ek))
-            )
-        rows.append(row)
-    solutions = linalg.nullspace(rows) if rows else basis
-    for x in solutions:
-        for y in solutions:
+    if n < 2:
+        return [g.basis_vector(i) for i in range(1, n + 1)]
+    gram = gram_matrix(omega)
+    columns = []
+    for i in range(1, n + 1):
+        lie = [_covector(gram, g.basis_bracket(i, j)) for j in range(1, n + 1)]
+        columns.append([lie[j][k] - lie[k][j] for j, k in combinations(range(n), 2)])
+    solutions = linalg.nullspace(linalg.transpose(columns))
+    for a, x in enumerate(solutions):
+        for y in solutions[a + 1 :]:
             if not linalg.in_span(solutions, g.bracket(x, y)):
                 raise RuntimeError("automorphism space is not bracket-closed")
     return solutions
-
-
-def classify_kind(g, omega, theta):
-    """Symplectic, first kind, or second kind; requires check_lcs to pass.
-
-    Over the reals the Lee morphism is surjective exactly when it is
-    nonzero somewhere on g_omega, so the first/second distinction reduces
-    to evaluating theta on an automorphism-algebra basis.
-    """
-    result = check_lcs(g, omega, theta)
-    if not result:
-        raise ValueError(f"not an LCS structure: {result.failure}")
-    auto = automorphism_algebra(g, omega)
-    lee_values = [theta.evaluate(x) for x in auto]
-    if theta.is_zero():
-        kind = Kind.SYMPLECTIC
-    elif any(lee_values):
-        kind = Kind.FIRST_KIND
-    else:
-        kind = Kind.SECOND_KIND
-    return KindVerdict(kind, auto, lee_values)
-
-
-def is_exact(g, omega, theta):
-    """A 1-form eta with d(eta) - theta ^ eta = omega, or None.
-
-    On unimodular algebras exactness must coincide with the first-kind
-    classification, and that consistency is asserted here.
-    """
-    result = check_lcs(g, omega, theta)
-    if not result:
-        raise ValueError(f"not an LCS structure: {result.failure}")
-    matrix = differential_matrix(g, 1, theta)
-    rhs = form_to_vector(omega)
-    solution = linalg.solve(matrix, rhs)
-    eta = vector_to_form(g.dim, 1, solution) if solution is not None else None
-    if is_unimodular(g):
-        first = classify_kind(g, omega, theta).kind is Kind.FIRST_KIND
-        if first != (eta is not None):
-            raise RuntimeError(
-                "exactness disagrees with first-kind classification on a "
-                "unimodular algebra"
-            )
-    return eta
 
 
 def recover_lee_form(g, omega):

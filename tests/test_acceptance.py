@@ -22,7 +22,7 @@ from lcslie.construct import (
 )
 from lcslie.exterior import KForm, differential_matrix, is_unimodular, one_form
 from lcslie.lattice import build_certificate, distinguish_solvmanifolds
-from lcslie.lcs import Kind, check_lcs, classify_kind, is_exact, recover_lee_form
+from lcslie.lcs import Kind, LCSStructure, recover_lee_form
 from lcslie.notation import format_structure_equations, parse_structure_equations
 from lcslie.novikov import cohomology
 
@@ -43,16 +43,16 @@ def test_acceptance_1_unimodular_family_verdicts(shipped):
         failures.append(f"expected 12 records, found {len(entries)}")
     for entry in entries:
         g = entry.algebra()
-        omega, theta = entry.omega_form(), entry.theta_form()
-        result = check_lcs(g, omega, theta)
-        if not result:
-            failures.append(f"{entry.name}: {result.failure}")
+        try:
+            structure = LCSStructure(g, entry.omega_form(), entry.theta_form())
+        except ValueError as exc:
+            failures.append(f"{entry.name}: {exc}")
             continue
-        if classify_kind(g, omega, theta).kind is not Kind.SECOND_KIND:
+        if structure.verdict.kind is not Kind.SECOND_KIND:
             failures.append(f"{entry.name}: not of the second kind")
         if not is_unimodular(g):
             failures.append(f"{entry.name}: not unimodular")
-        if is_exact(g, omega, theta) is not None:
+        if structure.primitive is not None:
             failures.append(f"{entry.name}: unexpectedly exact")
     _verdict(1, "12 unimodular structures verified, second kind, non-exact", failures)
 
@@ -82,17 +82,16 @@ def test_acceptance_3_worked_extension_end_to_end():
     mat1 = [[Fraction(0)] * 4 for _ in range(4)]
     mat1[1][1] = mat1[2][2] = Fraction(-1)
     rep = Representation(h, standard_symplectic(4), [mat1, zero, zero, zero])
-    result = extend(h, omega, theta, rep)
+    result = extend(LCSStructure(h, omega, theta), rep)
     g = result.algebra
 
     if format_structure_equations(g) != "(0,0,-13+24,-14-23,0,16,17,0)":
         failures.append(f"unexpected tuple {format_structure_equations(g)}")
     if not result.unimodular:
         failures.append("extension is not unimodular")
-    verdict = classify_kind(g, result.structure.omega, result.structure.theta)
-    if verdict.kind is not Kind.SECOND_KIND:
+    if result.structure.verdict.kind is not Kind.SECOND_KIND:
         failures.append("extension is not of the second kind")
-    if is_exact(g, result.structure.omega, result.structure.theta) is not None:
+    if result.structure.primitive is not None:
         failures.append("extension is unexpectedly exact")
     report = cohomology(g, result.structure.theta)
     if tuple(report.betti) != (1, 4, 6, 4, 2, 4, 6, 4, 1):
@@ -133,7 +132,7 @@ def test_acceptance_4_central_extensions_at_the_critical_parameter():
             mat1[i][i] = lam
         zero = linalg.zeros(2 * n, 2 * n)
         rep = Representation(h, space, [mat1, zero, zero, zero])
-        result = extend(h, omega_h, theta, rep)
+        result = extend(LCSStructure(h, omega_h, theta), rep)
         if not result.unimodular:
             failures.append(f"n={n}: extension is not unimodular")
         z = center(result.algebra)
@@ -176,21 +175,21 @@ def test_acceptance_6_decompositions_across_the_family(shipped):
         if entry.group != "unimodular4":
             continue
         g = entry.algebra()
-        omega, theta = entry.omega_form(), entry.theta_form()
+        structure = LCSStructure(g, entry.omega_form(), entry.theta_form())
         if entry.ideal == "none":
-            if find_nondegenerate_abelian_ideal(g, omega, theta) is not None:
+            if find_nondegenerate_abelian_ideal(structure) is not None:
                 failures.append(f"{entry.name}: unexpected decomposable ideal")
             searched_none += 1
             continue
         u_basis = [g.basis_vector(i) for i in entry.ideal]
         try:
-            h, _omega_h, _theta_h, rep = decompose(g, omega, theta, u_basis)
+            base, rep = decompose(structure, u_basis)
         except Exception as exc:
             failures.append(f"{entry.name}: decompose failed: {exc}")
             continue
-        if h.dim + rep.space.dim != g.dim:
+        if base.algebra.dim + rep.space.dim != g.dim:
             failures.append(f"{entry.name}: dimensions do not add up")
-        if find_nondegenerate_abelian_ideal(g, omega, theta) != u_basis:
+        if find_nondegenerate_abelian_ideal(structure) != u_basis:
             failures.append(f"{entry.name}: search missed the recorded ideal")
     if searched_none != 1:
         failures.append(f"expected exactly 1 non-decomposable record, saw {searched_none}")
@@ -199,13 +198,13 @@ def test_acceptance_6_decompositions_across_the_family(shipped):
 
 def test_acceptance_7_lattice_certificates_and_distinction():
     failures = []
-    for m in range(3, 11):
-        cert = build_certificate(m)
+    certs = {m: build_certificate(m) for m in range(3, 11)}
+    for m, cert in certs.items():
         if cert.residual >= 1e-9:
             failures.append(f"m={m}: residual {cert.residual:.3e}")
     for m in range(3, 11):
         for n in range(3, 11):
-            if distinguish_solvmanifolds(m, n) != (m != n):
+            if distinguish_solvmanifolds(certs[m], certs[n]) != (m != n):
                 failures.append(f"distinguish({m},{n}) wrong")
     _verdict(7, "certificates for m=3..10 within 1e-9 and pairwise distinction", failures)
 
@@ -243,12 +242,11 @@ def test_acceptance_8_randomized_laws_and_the_exactness_dichotomy(shipped):
     for entry in shipped:
         if not entry.unimodular or entry.omega is None or entry.theta is None:
             continue
-        g = entry.algebra()
-        omega, theta = entry.omega_form(), entry.theta_form()
-        if theta.is_zero():
+        structure = LCSStructure(entry.algebra(), entry.omega_form(), entry.theta_form())
+        if structure.theta.is_zero():
             continue
-        exact = is_exact(g, omega, theta) is not None
-        first = classify_kind(g, omega, theta).kind is Kind.FIRST_KIND
+        exact = structure.primitive is not None
+        first = structure.verdict.kind is Kind.FIRST_KIND
         if exact != first:
             failures.append(f"{entry.name}: exact={exact} but first-kind={first}")
     _verdict(8, "200 random algebras obey the laws; exactness matches the kind", failures)

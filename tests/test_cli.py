@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from lcslie import cli, lattice, lcs
 from lcslie.cli import main
 from lcslie.corpus import default_corpus_path
 
@@ -249,3 +250,70 @@ def test_regress_env_fallback(capsys, tmp_path, monkeypatch):
     payload = json.loads(out)
     assert payload["summary"]["checked"] == 1
     assert payload["records"][0]["name"] == "rr3l"
+
+
+def test_regress_isolates_a_record_that_raises(capsys, tmp_path):
+    # in dimension 2 omega does not determine the Lee form, so
+    # recover_lee_form raises; the next record must still be checked
+    packaged = next(
+        line for line in open(default_corpus_path(), encoding="utf-8")
+        if line.startswith("name=rr3-1 ")
+    )
+    path = tmp_path / "two.txt"
+    path.write_text("name=two dim=2 eq='(0,-12)' omega=1 theta=1,0\n" + packaged)
+    code, out, _ = run(capsys, "regress", str(path), "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["summary"] == {"checked": 2, "failed": 1}
+    two, rr31 = payload["records"]
+    assert two["name"] == "two" and not two["ok"]
+    assert two["failures"] == [
+        "recover_lee_form: theta is not unique; omega does not determine a Lee form"
+    ]
+    assert rr31["name"] == "rr3-1" and rr31["ok"]
+
+
+def test_regress_has_no_jobs_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["regress", "--jobs", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_regress_verifies_each_structure_once(capsys, monkeypatch):
+    # 35 corpus structures, plus the base and the rebuilt product of each
+    # of the 23 decompositions; g_omega is assembled once for each corpus
+    # structure and once for each rebuilt product, whose kind is checked
+    checks = counting(monkeypatch, lcs, "check_lcs")
+    assemblies = counting(monkeypatch, lcs, "automorphism_algebra")
+    code, out, _ = run(capsys, "regress", "--json")
+    assert code == 0
+    assert json.loads(out)["summary"] == {"checked": 36, "failed": 0}
+    assert len(checks) == 35 + 2 * 23
+    assert len(assemblies) == 35 + 23
+
+
+def test_inline_target_is_parsed_once(capsys, monkeypatch):
+    parses = counting(monkeypatch, cli, "parse_structure_equations")
+    code, _, _ = run(capsys, "cohomology", "(0,0,-12,0)", "--theta", "0,0,0,-1", "--json")
+    assert code == 0
+    assert len(parses) == 1
+
+
+def test_lattice_builds_each_certificate_once(capsys, monkeypatch):
+    builds = counting(monkeypatch, lattice, "build_certificate")
+    code, _, _ = run(capsys, "lattice", "--range", "3:7", "--distinguish", "--json")
+    assert code == 0
+    assert len(builds) == 5

@@ -20,7 +20,7 @@ from lcslie.construct import (
     unimodular_extension_dim,
 )
 from lcslie.exterior import KForm, is_unimodular, one_form
-from lcslie.lcs import Kind, classify_kind, is_exact, recover_lee_form
+from lcslie.lcs import Kind, LCSStructure, recover_lee_form
 from lcslie.notation import format_structure_equations, parse_structure_equations
 
 R2P = "(0,0,-13+24,-14-23)"
@@ -42,6 +42,10 @@ def example_extension_input():
     zero = diag(4, [0, 0, 0, 0])
     rep = Representation(h, space, [diag(4, [0, -1, -1, 0]), zero, zero, zero])
     return h, omega, theta, rep
+
+
+def structure_of(entry):
+    return LCSStructure(entry.algebra(), entry.omega_form(), entry.theta_form())
 
 
 def test_standard_symplectic_gram():
@@ -111,7 +115,7 @@ def test_is_lcs_representation_checks_symmetric_part():
 
 def test_extend_reproduces_the_worked_example():
     h, omega, theta, rep = example_extension_input()
-    result = extend(h, omega, theta, rep)
+    result = extend(LCSStructure(h, omega, theta), rep)
     g = result.algebra
     assert g.dim == 8
     assert format_structure_equations(g) == "(0,0,-13+24,-14-23,0,16,17,0)"
@@ -122,25 +126,29 @@ def test_extend_reproduces_the_worked_example():
         8, 2, {(1, 3): 1, (2, 4): Fraction(-1, 2), (5, 6): 1, (7, 8): 1}
     )
     assert theta_ext == one_form(8, [1, 0, 0, 0, 0, 0, 0, 0])
-    assert classify_kind(g, omega_ext, theta_ext).kind is Kind.SECOND_KIND
-    assert is_exact(g, omega_ext, theta_ext) is None
+    assert result.structure.verdict.kind is Kind.SECOND_KIND
+    assert result.structure.primitive is None
     assert recover_lee_form(g, omega_ext) == theta_ext
 
 
 def test_extend_rejects_bad_input():
     h, omega, theta, rep = example_extension_input()
-    with pytest.raises(PreconditionError, match="not LCS"):
-        extend(h, KForm(4, 2, {(1, 3): 1}), theta, rep)
+    # a pair that is not LCS is refused before extend can be called
+    with pytest.raises(ValueError, match="not an LCS structure"):
+        LCSStructure(h, KForm(4, 2, {(1, 3): 1}), theta)
     # the identity is a valid homomorphism image for e1 but has
     # symmetric part Id, not -theta(e1)/2 * Id = -Id/2
     bad_rep = Representation(
         h, rep.space, [diag(4, [1, 1, 1, 1])] + [diag(4, [0, 0, 0, 0])] * 3
     )
     with pytest.raises(PreconditionError, match="symmetric part"):
-        extend(h, omega, theta, bad_rep)
+        extend(LCSStructure(h, omega, theta), bad_rep)
     other = parse_structure_equations("(0,-12,13,0)")
     with pytest.raises(PreconditionError, match="does not act"):
-        extend(other, KForm(4, 2, {(1, 2): 1, (3, 4): 1}), one_form(4, [1, 0, 0, 0]), rep)
+        extend(
+            LCSStructure(other, KForm(4, 2, {(1, 2): 1, (3, 4): 1}), one_form(4, [1, 0, 0, 0])),
+            rep,
+        )
 
 
 def test_unimodular_extension_dim_trace_condition():
@@ -167,15 +175,14 @@ def test_unimodular_extension_dim_matches_corpus(shipped):
 
 
 def test_decompose_splits_rr31(by_name):
-    entry = by_name["rr3-1"]
-    g = entry.algebra()
-    omega, theta = entry.omega_form(), entry.theta_form()
+    structure = structure_of(by_name["rr3-1"])
+    g = structure.algebra
     u_basis = [g.basis_vector(3), g.basis_vector(4)]
-    h, omega_h, theta_h, rep = decompose(g, omega, theta, u_basis)
-    assert h.dim == 2
-    assert format_structure_equations(h) == "(0,-12)"
-    assert omega_h == KForm(2, 2, {(1, 2): 1})
-    assert theta_h == one_form(2, [1, 0])
+    base, rep = decompose(structure, u_basis)
+    assert base.algebra.dim == 2
+    assert format_structure_equations(base.algebra) == "(0,-12)"
+    assert base.omega == KForm(2, 2, {(1, 2): 1})
+    assert base.theta == one_form(2, [1, 0])
     assert rep.mats[0] == [[Fraction(-1), 0], [0, 0]]
     assert rep.mats[1] == linalg.zeros(2, 2)
     assert rep.space.gram == [[0, Fraction(1)], [Fraction(-1), 0]]
@@ -185,75 +192,49 @@ def test_decompose_round_trips_every_recorded_ideal(shipped):
     for entry in shipped:
         if not isinstance(entry.ideal, tuple):
             continue
-        g = entry.algebra()
+        structure = structure_of(entry)
+        g = structure.algebra
         u_basis = [g.basis_vector(i) for i in entry.ideal]
         # decompose raises if the rebuilt product differs from g
-        h, _omega_h, _theta_h, rep = decompose(
-            g, entry.omega_form(), entry.theta_form(), u_basis
-        )
-        assert h.dim + rep.space.dim == g.dim, entry.name
+        base, rep = decompose(structure, u_basis)
+        assert base.algebra.dim + rep.space.dim == g.dim, entry.name
 
 
 def test_decompose_precondition_failures(by_name):
-    rr31 = by_name["rr3-1"]
-    g = rr31.algebra()
-    omega, theta = rr31.omega_form(), rr31.theta_form()
+    rr31 = structure_of(by_name["rr3-1"])
+    g = rr31.algebra
     with pytest.raises(PreconditionError, match="empty ideal"):
-        check_decompose_preconditions(g, omega, theta, [])
+        check_decompose_preconditions(rr31, [])
     with pytest.raises(PreconditionError, match="linearly dependent"):
-        check_decompose_preconditions(
-            g, omega, theta, [g.basis_vector(3), g.basis_vector(3)]
-        )
+        check_decompose_preconditions(rr31, [g.basis_vector(3), g.basis_vector(3)])
     with pytest.raises(PreconditionError, match="not an ideal"):
-        check_decompose_preconditions(
-            g, omega, theta, [g.basis_vector(1), g.basis_vector(2)]
-        )
+        check_decompose_preconditions(rr31, [g.basis_vector(1), g.basis_vector(2)])
     with pytest.raises(PreconditionError, match="degenerates"):
-        check_decompose_preconditions(
-            g, omega, theta, [g.basis_vector(2), g.basis_vector(4)]
-        )
+        check_decompose_preconditions(rr31, [g.basis_vector(2), g.basis_vector(4)])
 
-    heis4 = by_name["heis4"]
-    gh = heis4.algebra()
+    heis4 = structure_of(by_name["heis4"])
+    gh = heis4.algebra
     with pytest.raises(PreconditionError, match="not contained in ker"):
-        check_decompose_preconditions(
-            gh, heis4.omega_form(), heis4.theta_form(),
-            [gh.basis_vector(3), gh.basis_vector(4)],
-        )
+        check_decompose_preconditions(heis4, [gh.basis_vector(3), gh.basis_vector(4)])
     with pytest.raises(PreconditionError, match="not abelian"):
-        check_decompose_preconditions(
-            gh, heis4.omega_form(), heis4.theta_form(),
-            [gh.basis_vector(i) for i in (1, 2, 3, 4)],
-        )
+        check_decompose_preconditions(heis4, [gh.basis_vector(i) for i in (1, 2, 3, 4)])
 
 
 def test_ideal_search(by_name):
-    rr31 = by_name["rr3-1"]
-    g = rr31.algebra()
-    found = find_nondegenerate_abelian_ideal(g, rr31.omega_form(), rr31.theta_form())
+    rr31 = structure_of(by_name["rr3-1"])
+    g = rr31.algebra
+    found = find_nondegenerate_abelian_ideal(rr31)
     assert found == [g.basis_vector(3), g.basis_vector(4)]
 
-    d4a = by_name["d4-a"]
-    assert (
-        find_nondegenerate_abelian_ideal(d4a.algebra(), d4a.omega_form(), d4a.theta_form())
-        is None
-    )
+    assert find_nondegenerate_abelian_ideal(structure_of(by_name["d4-a"])) is None
 
     # extra candidates are tried after the coordinate subspaces
-    r2r2 = by_name["r2r2"]
-    gr = r2r2.algebra()
+    r2r2 = structure_of(by_name["r2r2"])
+    gr = r2r2.algebra
     extra = [[gr.basis_vector(2), gr.basis_vector(4)]]
-    assert (
-        find_nondegenerate_abelian_ideal(
-            gr, r2r2.omega_form(), r2r2.theta_form(), extra_candidates=extra
-        )
-        is None
-    )
+    assert find_nondegenerate_abelian_ideal(r2r2, extra_candidates=extra) is None
 
 
 def test_ideal_search_requires_twisted_structure(by_name):
-    abelian = by_name["abelian4"]
     with pytest.raises(ValueError, match="theta = 0"):
-        find_nondegenerate_abelian_ideal(
-            abelian.algebra(), abelian.omega_form(), abelian.theta_form()
-        )
+        find_nondegenerate_abelian_ideal(structure_of(by_name["abelian4"]))

@@ -139,9 +139,10 @@ def test_integer_conjugacy_rejects_non_finite():
 
 
 def test_distinction_is_exactly_inequality():
-    for m in range(3, 9):
-        for n in range(3, 9):
-            assert distinguish_solvmanifolds(m, n) == (m != n), (m, n)
+    certs = {m: build_certificate(m) for m in range(3, 9)}
+    for m, cert_m in certs.items():
+        for n, cert_n in certs.items():
+            assert distinguish_solvmanifolds(cert_m, cert_n) == (m != n), (m, n)
 
 
 def test_actions_at_time_zero():

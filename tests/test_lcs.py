@@ -11,9 +11,7 @@ from lcslie.lcs import (
     LCSStructure,
     automorphism_algebra,
     check_lcs,
-    classify_kind,
     gram_matrix,
-    is_exact,
     recover_lee_form,
 )
 from lcslie.notation import parse_structure_equations
@@ -25,6 +23,10 @@ def entry_forms(entry):
     return entry.algebra(), entry.omega_form(), entry.theta_form()
 
 
+def entry_structure(entry):
+    return LCSStructure(*entry_forms(entry))
+
+
 def test_corpus_records_verify(shipped):
     for entry in shipped:
         if entry.omega is None or entry.theta is None:
@@ -33,7 +35,7 @@ def test_corpus_records_verify(shipped):
         result = check_lcs(g, omega, theta)
         assert result, (entry.name, result.failure)
         if entry.kind is not None:
-            assert str(classify_kind(g, omega, theta).kind) == entry.kind, entry.name
+            assert str(LCSStructure(g, omega, theta).verdict.kind) == entry.kind, entry.name
 
 
 def test_check_reports_first_failure():
@@ -90,31 +92,33 @@ def test_automorphism_algebra_of_rr31():
 
 def test_classification_trichotomy(by_name):
     for name, kind in [("abelian4", Kind.SYMPLECTIC), ("heis4", Kind.FIRST_KIND), ("rr3-1", Kind.SECOND_KIND)]:
-        g, omega, theta = entry_forms(by_name[name])
-        verdict = classify_kind(g, omega, theta)
+        structure = entry_structure(by_name[name])
+        verdict = structure.verdict
         assert verdict.kind is kind
         assert str(verdict.kind) == by_name[name].kind
-        assert verdict.lee_values == [theta.evaluate(x) for x in verdict.automorphism_basis]
+        assert verdict.lee_values == [
+            structure.theta.evaluate(x) for x in verdict.automorphism_basis
+        ]
+        assert structure.verdict is verdict  # cached, not recomputed
 
 
 def test_classify_requires_lcs():
     g = parse_structure_equations(RR31)
     with pytest.raises(ValueError, match="not an LCS structure"):
-        classify_kind(g, basis_form(4, (1, 2)), one_form(4, [1, 0, 0, 0]))
+        LCSStructure(g, basis_form(4, (1, 2)), one_form(4, [1, 0, 0, 0]))
 
 
 def test_exactness_produces_a_primitive(by_name):
     for name in ["heis4", "d4pd-p", "r2r2"]:
         g, omega, theta = entry_forms(by_name[name])
-        eta = is_exact(g, omega, theta)
+        eta = LCSStructure(g, omega, theta).primitive
         assert eta is not None, name
         assert ce_differential(g, eta) - wedge(theta, eta) == omega, name
 
 
 def test_non_exact_on_second_kind_unimodular(by_name):
     for name in ["rr3-1", "d4-a", "ext42"]:
-        g, omega, theta = entry_forms(by_name[name])
-        assert is_exact(g, omega, theta) is None, name
+        assert entry_structure(by_name[name]).primitive is None, name
 
 
 def test_lcs_structure_holder():
@@ -167,4 +171,4 @@ def test_symplectic_structure_recovers_zero():
     omega = KForm(4, 2, {(1, 4): 1, (2, 3): 1})
     recovered = recover_lee_form(g, omega)
     assert recovered == one_form(4, [0, 0, 0, 0])
-    assert classify_kind(g, omega, recovered).kind is Kind.SYMPLECTIC
+    assert LCSStructure(g, omega, recovered).verdict.kind is Kind.SYMPLECTIC

@@ -14,7 +14,7 @@ from lcslie.exterior import (
     one_form,
     zero_form,
 )
-from lcslie.lcs import is_exact
+from lcslie.lcs import LCSStructure
 from lcslie.notation import parse_structure_equations
 from lcslie.novikov import cohomology, is_exact_class, twisted_differential
 
@@ -105,7 +105,7 @@ def test_is_exact_class_agrees_with_primitive_search(shipped):
             continue
         g = entry.algebra()
         omega, theta = entry.omega_form(), entry.theta_form()
-        eta = is_exact(g, omega, theta)
+        eta = LCSStructure(g, omega, theta).primitive
         assert is_exact_class(g, theta, omega) == (eta is not None), entry.name
 
 
