@@ -5,11 +5,11 @@ nondegenerate 2-form omega together with a closed 1-form theta (the Lee
 form) satisfying d(omega) = theta ^ omega.  This package verifies such
 structures, classifies them as first or second kind, builds new ones by
 semidirect-product extension, computes twisted (Morse-Novikov)
-cohomology, and produces numeric lattice certificates for an associated
-family of solvable Lie groups.
+cohomology, and produces lattice certificates for an associated family
+of solvable Lie groups.
 
-All algebraic computations are exact over the rationals; floating point
-is confined to the lattice module.
+All computations are exact: over the rationals, and for the lattice
+certificates over the rings Z[lambda] with lambda^2 = m lambda - 1.
 """
 
 from .algebra import LieAlgebra, abelian, center, change_basis
@@ -51,9 +51,7 @@ from .construct import (
 )
 from .lattice import (
     LatticeCertificate,
-    OneParameterAction,
     build_certificate,
-    check_integer_conjugacy,
     companion_matrix,
     distinguish_solvmanifolds,
     family_char_poly,
@@ -98,9 +96,7 @@ __all__ = [
     "symmetric_skew_split",
     "unimodular_extension_dim",
     "LatticeCertificate",
-    "OneParameterAction",
     "build_certificate",
-    "check_integer_conjugacy",
     "companion_matrix",
     "distinguish_solvmanifolds",
     "family_char_poly",

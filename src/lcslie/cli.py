@@ -340,7 +340,7 @@ def cmd_lattice(args):
         lo, hi = _parse_range(args.range)
         ms = list(range(lo, hi + 1))
     try:
-        certs = [lattice.build_certificate(m, tol=args.tol) for m in ms]
+        certs = [lattice.build_certificate(m) for m in ms]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -349,7 +349,7 @@ def cmd_lattice(args):
     if args.distinguish:
         for i, a in enumerate(certs):
             for b in certs[i:]:
-                distinct = lattice.distinguish_solvmanifolds(a, b, tol=args.tol)
+                distinct = lattice.distinguish_solvmanifolds(a, b)
                 pairs.append((a.m, b.m, distinct))
                 if distinct != (a.m != b.m):
                     failed = True
@@ -361,7 +361,6 @@ def cmd_lattice(args):
                     "m": c.m,
                     "t_m": c.t_m,
                     "char_poly": list(lattice.family_char_poly(c.m)),
-                    "residual": c.residual,
                 }
                 for c in certs
             ]
@@ -524,8 +523,6 @@ def _build_parser():
     p_lat.add_argument("--range", help="inclusive parameter range A:B")
     p_lat.add_argument("--distinguish", action="store_true",
                        help="compare spectra pairwise over the range")
-    p_lat.add_argument("--tol", type=float, default=lattice.DEFAULT_TOL,
-                       help=f"numerical tolerance (default {lattice.DEFAULT_TOL})")
     p_lat.add_argument("--json", action="store_true")
     p_lat.set_defaults(func=cmd_lattice)
 

@@ -170,6 +170,8 @@ def parse_entry(line, lineno=0):
             raise CorpusError(f"line {lineno}: bad ideal indices {ideal!r}") from exc
         if any(not (1 <= i <= dim) for i in ideal):
             raise CorpusError(f"line {lineno}: ideal indices out of range")
+    if (kind is not None or ideal is not None) and (omega is None or theta is None):
+        raise CorpusError(f"line {lineno}: kind/ideal need both omega and theta")
 
     return CorpusEntry(
         name=fields["name"],

@@ -1,59 +1,78 @@
 """Lattice certificates for the solvable group family R ltimes_phi R^6.
 
 The one-parameter group phi(t) = exp(t ad) of the almost abelian factor
-has spectrum {e^t, e^-t, 1} with multiplicity two.  At the parameter
-values t_m = arccosh(m/2), m > 2 an integer, its characteristic
-polynomial x^3 - (m+1)x^2 + (m+1)x - 1 (per block) has integer
-coefficients, and a Vandermonde conjugation takes phi(t_m) to the
-integer block companion matrix D_m.  That conjugation, with its residual
-bound, is the lattice certificate; comparing the spectra of the
-certificates distinguishes the quotient manifolds pairwise.
+is diag(e^t, e^-t, 1) twice over.  At t_m = arccosh(m/2), m > 2 an
+integer, lambda = e^{t_m} satisfies lambda^2 = m lambda - 1, so phi(t_m)
+has its entries in the ring Z[lambda], whose elements are pairs
+a + b lambda.  The rows (1, mu, mu^2), mu in {lambda, lambda^-1, 1}, are
+left eigenvectors of the integer companion matrix C_m of
+x^3 - (m+1)x^2 + (m+1)x - 1, so the Vandermonde blocks P_m conjugate
+phi(t_m) to D_m = diag(C_m, C_m): phi(t_m) P_m = P_m D_m.  That identity
+and det P_m != 0, checked exactly in Z[lambda], are the lattice
+certificate.  An element a + b lambda is zero iff a = b = 0, because
+lambda is irrational (m^2 - 4 is not a square for m > 2).
 
-This is the only module that uses floating point; the default tolerance
-is 1e-9 throughout.
+The quotient manifolds are distinguished pairwise by the integer
+characteristic polynomials of their integer models.  No floating point
+enters a verdict; t_m is reported as a float only.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import acosh
 
-import numpy as np
-from scipy.linalg import expm
-
 from . import linalg
 
-DEFAULT_TOL = 1e-9
+# ad of the expanding direction on R^6, basis (e3, e6, e5, e4, e7, e8):
+# the diagonal, so phi(t) = diag(e^(t g) for g in PHI_GENERATOR).
+PHI_GENERATOR = (1, -1, 0, 1, -1, 0)
+
+_ZERO = (0, 0)
+_ONE = (1, 0)
 
 
-@dataclass(frozen=True)
-class OneParameterAction:
-    """exp(t * generator) for a fixed real matrix generator."""
-
-    generator: np.ndarray
-
-    def evaluate(self, t):
-        return expm(float(t) * self.generator)
+def _lambda_power(e, m):
+    """lambda^e for e in {1, -1, 0}, as a pair; lambda^-1 = m - lambda."""
+    return {1: (0, 1), -1: (m, -1), 0: _ONE}[e]
 
 
-def phi_generator():
-    """ad of the expanding direction on R^6, basis (e3, e6, e5, e4, e7, e8)."""
-    return np.diag([1.0, -1.0, 0.0, 1.0, -1.0, 0.0])
+def _mul(x, y, m):
+    """(a + b lambda)(c + d lambda), reduced by lambda^2 = m lambda - 1."""
+    a, b = x
+    c, d = y
+    return (a * c - b * d, a * d + b * c + m * b * d)
 
 
-def psi_generator():
-    """ad of the rotating direction on R^7, basis (e1, e3, e6, e5, e4, e7, e8)."""
-    gen = np.zeros((7, 7))
-    gen[1, 4] = -1.0
-    gen[4, 1] = 1.0
-    return gen
+def _add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
 
 
-def phi_action():
-    return OneParameterAction(phi_generator())
+def _times_integer_matrix(p, d):
+    """P D for P over Z[lambda] and D over Z."""
+    return [
+        [tuple(sum(x[t] * c for x, c in zip(row, col)) for t in (0, 1)) for col in zip(*d)]
+        for row in p
+    ]
 
 
-def psi_action():
-    return OneParameterAction(psi_generator())
+def _det(mat, m):
+    """Determinant over Z[lambda] by cofactor expansion along the first row."""
+    if not mat:
+        return _ONE
+    total = _ZERO
+    for j, entry in enumerate(mat[0]):
+        if entry == _ZERO:
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
+        a, b = _mul(entry, _det(minor, m), m)
+        total = _add(total, (-a, -b) if j % 2 else (a, b))
+    return total
+
+
+def _twice(block, zero):
+    """diag(block, block) as a tuple of row tuples."""
+    pad = (zero,) * len(block)
+    return tuple(tuple(row) + pad for row in block) + tuple(pad + tuple(row) for row in block)
 
 
 def t_parameter(m):
@@ -106,130 +125,78 @@ def char_poly_exact(mat):
     return tuple(int(c) if c.denominator == 1 else c for c in coeffs)
 
 
-def _vandermonde_block(t_m):
-    e = np.exp(t_m)
-    return np.array(
-        [
-            [1.0, e, e * e],
-            [1.0, 1.0 / e, 1.0 / (e * e)],
-            [1.0, 1.0, 1.0],
-        ]
-    )
-
-
-def _block_diag(a, b):
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0] :, a.shape[1] :] = b
-    return out
-
-
 @dataclass(frozen=True)
 class LatticeCertificate:
-    """Witness that phi(t_m) = P_m D_m P_m^-1 with D_m integer."""
+    """Witness that phi(t_m) = P_m D_m P_m^-1 with D_m integer.
+
+    d_m holds integers, p_m pairs (a, b) standing for a + b lambda.
+    Construction verifies phi(t_m) P_m = P_m D_m and det P_m != 0
+    exactly in Z[lambda], and raises RuntimeError when either fails.
+    """
 
     m: int
-    t_m: float
-    d_m: np.ndarray
-    p_m: np.ndarray
-    residual: float
+    d_m: tuple
+    p_m: tuple
+
+    def __post_init__(self):
+        m = self.m
+        phi = [_lambda_power(g, m) for g in PHI_GENERATOR]
+        lhs = [[_mul(phi[i], x, m) for x in row] for i, row in enumerate(self.p_m)]
+        if lhs != _times_integer_matrix(self.p_m, self.d_m):
+            raise RuntimeError(f"phi(t_m) P_m != P_m D_m for m={m}")
+        if _det(self.p_m, m) == _ZERO:
+            raise RuntimeError(f"conjugator for m={m} is singular")
+
+    @property
+    def t_m(self):
+        return t_parameter(self.m)
 
 
-def build_certificate(m, tol=DEFAULT_TOL):
-    """Assemble and verify the certificate for one family member."""
-    t_m = t_parameter(m)
-    c_m = np.array(companion_matrix(family_char_poly(m)[1:]), dtype=np.int64)
-    d_m = _block_diag(c_m, c_m).astype(np.int64)
-    q_m = _vandermonde_block(t_m)
-    p_m = _block_diag(q_m, q_m)
-    if abs(np.linalg.det(p_m)) < tol:
-        raise RuntimeError(f"conjugator for m={m} is numerically singular")
-    phi_tm = phi_action().evaluate(t_m)
-    reconstructed = p_m @ d_m @ np.linalg.inv(p_m)
-    residual = float(np.max(np.abs(phi_tm - reconstructed)))
-    if residual >= tol:
-        raise RuntimeError(
-            f"certificate residual {residual:.3e} exceeds {tol:.1e} for m={m}"
-        )
-    return LatticeCertificate(m, t_m, d_m, p_m, residual)
+def build_certificate(m):
+    """Assemble the certificate for one family member; construction verifies it."""
+    d_m = _twice(companion_matrix(family_char_poly(m)[1:]), 0)
+    q_m = []
+    for g in PHI_GENERATOR[:3]:
+        mu = _lambda_power(g, m)
+        q_m.append((_ONE, mu, _mul(mu, mu, m)))
+    return LatticeCertificate(m, d_m, _twice(q_m, _ZERO))
 
 
 def certificate_report(cert):
-    """Plain-text report: m, t_m to 15 digits, D_m rows, residual."""
+    """Plain-text report: m, t_m to 15 digits, D_m rows, what was verified."""
     lines = [f"m = {cert.m}", f"t_m = {cert.t_m:.15g}", "D_m:"]
     for row in cert.d_m:
-        lines.append("  " + " ".join(str(int(x)) for x in row))
-    lines.append(f"residual = {cert.residual:.3e}")
+        lines.append("  " + " ".join(str(x) for x in row))
+    lines.append("phi(t_m) P_m = P_m D_m and det P_m != 0, verified exactly over Z[lambda]")
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class ConjugacyVerdict:
-    """Outcome of the integer-conjugacy test.
-
-    candidate=True means the characteristic polynomial is within tol of
-    an integer polynomial.  This is necessary for integer conjugacy, not
-    sufficient in general; an explicit conjugator with its residual is
-    attached when the spectrum is simple.
-    """
-
-    candidate: bool
-    char_poly: tuple
-    conjugator: object = None
-    residual: float = None
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
 
 
-def check_integer_conjugacy(a, tol=DEFAULT_TOL):
-    """Test whether a float matrix can be conjugate to an integer one."""
-    a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    poly = np.poly(a)
-    rounded = np.round(poly)
-    if np.max(np.abs(poly - rounded)) > tol:
-        return ConjugacyVerdict(False, tuple(poly))
-    int_poly = tuple(int(c) for c in rounded)
-    nearest = np.round(a)
-    if np.max(np.abs(a - nearest)) <= tol:
-        return ConjugacyVerdict(
-            True, int_poly, np.eye(len(a)), float(np.max(np.abs(a - nearest)))
-        )
-    eigvals, eigvecs = np.linalg.eig(a)
-    distinct = all(
-        abs(eigvals[i] - eigvals[j]) > tol
-        for i in range(len(eigvals))
-        for j in range(i + 1, len(eigvals))
-    )
-    if not distinct:
-        return ConjugacyVerdict(True, int_poly)
-    companion = np.array(companion_matrix(int_poly[1:]), dtype=float)
-    vander = np.array([[lam**k for k in range(len(a))] for lam in eigvals])
-    conjugator = eigvecs @ vander
-    reconstructed = conjugator @ companion @ np.linalg.inv(conjugator)
-    residual = float(np.max(np.abs(a - reconstructed)))
-    return ConjugacyVerdict(True, int_poly, conjugator, residual)
+def _model_char_poly(cert):
+    """Characteristic polynomial (x - 1) p_m(x)^2 of R_m = diag(1, D_m)."""
+    p = family_char_poly(cert.m)
+    return _poly_mul([1, -1], _poly_mul(p, p))
 
 
-def _spectrum(mat):
-    return np.sort_complex(np.linalg.eigvals(np.asarray(mat, dtype=float)))
-
-
-def _spectra_differ(s1, s2, tol):
-    return bool(np.max(np.abs(s1 - s2)) > tol)
-
-
-def distinguish_solvmanifolds(cert_m, cert_n, tol=DEFAULT_TOL):
+def distinguish_solvmanifolds(cert_m, cert_n):
     """True iff the quotients of two certificates cannot be homeomorphic.
 
     The integer models R_m = diag(1, D_m) of the two manifolds would be
     conjugate to each other or to an inverse if the manifolds matched,
-    so differing spectra (against both R_n and R_n^-1) separate them.
-    For this family the spectra are closed under inversion, and the test
-    is true exactly when m != n.
+    so a characteristic polynomial that differs from both that of R_n
+    and that of R_n^-1 separates them.  The latter is the reversed
+    polynomial of R_n divided by its constant term; comparing against
+    the product keeps it integral.  For this family the test is true
+    exactly when m != n.
     """
-    r_m = _block_diag(np.eye(1), cert_m.d_m.astype(float))
-    r_n = _block_diag(np.eye(1), cert_n.d_m.astype(float))
-    s_m = _spectrum(r_m)
-    s_n = _spectrum(r_n)
-    s_n_inv = _spectrum(np.linalg.inv(r_n))
-    return _spectra_differ(s_m, s_n, tol) and _spectra_differ(s_m, s_n_inv, tol)
+    f_m = _model_char_poly(cert_m)
+    f_n = _model_char_poly(cert_n)
+    reciprocal = [c * f_n[-1] for c in f_m] == f_n[::-1]
+    return f_m != f_n and not reciprocal

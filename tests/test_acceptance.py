@@ -196,17 +196,18 @@ def test_acceptance_6_decompositions_across_the_family(shipped):
     _verdict(6, "recorded ideals decompose and rebuild; one record has none", failures)
 
 
-def test_acceptance_7_lattice_certificates_and_distinction():
+def test_acceptance_7_lattice_certificates_and_distinction(conjugation_failures):
     failures = []
     certs = {m: build_certificate(m) for m in range(3, 11)}
     for m, cert in certs.items():
-        if cert.residual >= 1e-9:
-            failures.append(f"m={m}: residual {cert.residual:.3e}")
+        wrong = conjugation_failures(cert)
+        if wrong:
+            failures.append(f"m={m}: phi(t_m) P_m != P_m D_m at entries {wrong[:3]}")
     for m in range(3, 11):
         for n in range(3, 11):
             if distinguish_solvmanifolds(certs[m], certs[n]) != (m != n):
                 failures.append(f"distinguish({m},{n}) wrong")
-    _verdict(7, "certificates for m=3..10 within 1e-9 and pairwise distinction", failures)
+    _verdict(7, "certificates for m=3..10 exact over Z[lambda] and pairwise distinction", failures)
 
 
 def test_acceptance_8_randomized_laws_and_the_exactness_dichotomy(shipped):

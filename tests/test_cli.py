@@ -1,9 +1,14 @@
 """End-to-end command-line behavior, run in process."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lcslie
 from lcslie import cli, lattice, lcs
 from lcslie.cli import main
 from lcslie.corpus import default_corpus_path
@@ -188,7 +193,8 @@ def test_lattice_single_member(capsys):
     code, out, _ = run(capsys, "lattice", "--m", "3")
     assert code == 0
     assert "m = 3" in out
-    assert "residual" in out
+    assert "verified exactly over Z[lambda]" in out
+    assert "residual" not in out
 
 
 def test_lattice_rejects_small_m(capsys):
@@ -208,11 +214,28 @@ def test_lattice_distinguish_range(capsys):
     assert code == 0
     payload = json.loads(out)
     assert [c["m"] for c in payload["certificates"]] == [3, 4, 5]
-    assert all(c["residual"] < 1e-9 for c in payload["certificates"])
+    for cert in payload["certificates"]:
+        assert sorted(cert) == ["char_poly", "m", "t_m"]
+        assert cert["char_poly"] == [1, -(cert["m"] + 1), cert["m"] + 1, -1]
     pairs = payload["distinguish"]
     assert len(pairs) == 6
     for item in pairs:
         assert item["distinct"] == (item["m"] != item["n"])
+
+
+def test_lattice_large_m_window(capsys):
+    code, out, _ = run(capsys, "lattice", "--range", "8000:8029", "--distinguish", "--json")
+    assert code == 0
+    pairs = json.loads(out)["distinguish"]
+    assert len(pairs) == 30 * 31 // 2
+    assert all(item["distinct"] == (item["m"] != item["n"]) for item in pairs)
+
+
+def test_lattice_has_no_tol_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lattice", "--m", "3", "--tol", "1e-9"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_regress_packaged_corpus(capsys):
@@ -273,6 +296,15 @@ def test_regress_isolates_a_record_that_raises(capsys, tmp_path):
     assert rr31["name"] == "rr3-1" and rr31["ok"]
 
 
+def test_regress_rejects_expectations_it_cannot_check(capsys, tmp_path):
+    path = tmp_path / "noomega.txt"
+    path.write_text("name=x dim=4 eq='(0,-12,13,0)' theta=1,0,0,0 kind=first ideal=1,2\n")
+    code, out, err = run(capsys, "regress", str(path))
+    assert code == 2
+    assert "line 1: kind/ideal need both omega and theta" in err
+    assert "x: ok" not in out
+
+
 def test_regress_has_no_jobs_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["regress", "--jobs", "2"])
@@ -317,3 +349,13 @@ def test_lattice_builds_each_certificate_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "lattice", "--range", "3:7", "--distinguish", "--json")
     assert code == 0
     assert len(builds) == 5
+
+
+def test_cli_imports_neither_numpy_nor_scipy():
+    src = str(Path(lcslie.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, lcslie.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

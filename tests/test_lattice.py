@@ -1,4 +1,4 @@
-"""Float-certificate construction and the pairwise distinction test."""
+"""Exact certificate construction and the pairwise distinction test."""
 
 import math
 import random
@@ -7,19 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lcslie import linalg
 from lcslie.lattice import (
-    DEFAULT_TOL,
+    LatticeCertificate,
     build_certificate,
     certificate_report,
     char_poly_exact,
-    check_integer_conjugacy,
     companion_matrix,
     distinguish_solvmanifolds,
     family_char_poly,
-    phi_action,
-    phi_generator,
-    psi_action,
-    psi_generator,
     t_parameter,
 )
 
@@ -73,69 +69,34 @@ def test_char_poly_exact_satisfies_cayley_hamilton():
         assert np.allclose(oracle, [float(c) for c in coeffs], atol=1e-6)
 
 
-def test_certificates_for_the_whole_range():
-    for m in range(3, 11):
+def test_certificates_for_the_whole_range(conjugation_failures):
+    for m in list(range(3, 11)) + [1325, 8000, 10**5]:
         cert = build_certificate(m)
         assert cert.m == m
-        assert cert.residual < DEFAULT_TOL
         assert math.isclose(math.cosh(cert.t_m), m / 2, rel_tol=1e-14)
-        assert cert.d_m.dtype == np.int64
-        assert round(np.linalg.det(cert.d_m.astype(float))) == 1
+        assert all(isinstance(x, int) for row in cert.d_m for x in row)
+        assert linalg.det([[Fraction(x) for x in row] for row in cert.d_m]) == 1
         p_m = family_char_poly(m)
         doubled = tuple(int(c) for c in np.polymul(p_m, p_m))
-        assert char_poly_exact(cert.d_m.tolist()) == doubled
+        assert char_poly_exact(cert.d_m) == doubled
         # the conjugation really carries the flow matrix to d_m
-        phi_tm = phi_action().evaluate(cert.t_m)
-        lhs = np.linalg.inv(cert.p_m) @ phi_tm @ cert.p_m
-        assert np.max(np.abs(lhs - cert.d_m)) < 1e-8
+        assert conjugation_failures(cert) == []
+
+
+def test_certificate_check_can_fail():
+    right, wrong = build_certificate(5), build_certificate(6)
+    with pytest.raises(RuntimeError, match="P_m != P_m D_m for m=5"):
+        LatticeCertificate(5, wrong.d_m, right.p_m)
+    singular = tuple(((0, 0),) * 6 for _ in range(6))
+    with pytest.raises(RuntimeError, match="singular"):
+        LatticeCertificate(5, right.d_m, singular)
 
 
 def test_certificate_report_text():
     text = certificate_report(build_certificate(3))
     assert "m = 3" in text
     assert "D_m:" in text
-    assert "residual" in text
-
-
-def test_integer_conjugacy_repeated_spectrum_has_no_conjugator():
-    verdict = check_integer_conjugacy(phi_action().evaluate(t_parameter(3)))
-    assert verdict.candidate
-    assert verdict.char_poly == (1, -8, 24, -34, 24, -8, 1)
-    assert verdict.conjugator is None and verdict.residual is None
-
-
-def test_integer_conjugacy_rejects_generic_time():
-    verdict = check_integer_conjugacy(phi_action().evaluate(1.0))
-    assert not verdict.candidate
-    assert verdict.conjugator is None
-
-
-def test_integer_conjugacy_near_integer_matrix():
-    full_turn = psi_action().evaluate(2 * math.pi)
-    verdict = check_integer_conjugacy(full_turn)
-    assert verdict.candidate
-    # (x - 1)^7
-    assert verdict.char_poly == (1, -7, 21, -35, 35, -21, 7, -1)
-    assert np.array_equal(verdict.conjugator, np.eye(7))
-    assert verdict.residual < DEFAULT_TOL
-
-
-def test_integer_conjugacy_simple_spectrum_builds_conjugator():
-    companion = np.array(companion_matrix([-3, 1]), dtype=float)
-    th = 0.3
-    rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-    a = rot @ companion @ rot.T
-    verdict = check_integer_conjugacy(a)
-    assert verdict.candidate
-    assert verdict.char_poly == (1, -3, 1)
-    assert verdict.conjugator is not None
-    assert verdict.residual < DEFAULT_TOL
-
-
-def test_integer_conjugacy_rejects_non_finite():
-    bad = np.array([[1.0, float("nan")], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="non-finite"):
-        check_integer_conjugacy(bad)
+    assert "verified exactly over Z[lambda]" in text
 
 
 def test_distinction_is_exactly_inequality():
@@ -143,11 +104,3 @@ def test_distinction_is_exactly_inequality():
     for m, cert_m in certs.items():
         for n, cert_n in certs.items():
             assert distinguish_solvmanifolds(cert_m, cert_n) == (m != n), (m, n)
-
-
-def test_actions_at_time_zero():
-    assert np.array_equal(phi_action().evaluate(0), np.eye(6))
-    assert np.array_equal(psi_action().evaluate(0), np.eye(7))
-    assert phi_generator().shape == (6, 6)
-    gen = psi_generator()
-    assert np.array_equal(gen, -gen.T)
