@@ -15,7 +15,6 @@ pairwise.
 """
 
 import math
-from fractions import Fraction
 
 from lcslie import linalg
 from lcslie.lattice import build_certificate, certificate_report, distinguish_solvmanifolds
@@ -53,4 +52,4 @@ for m in range(3, 7):
 
 # The integer models have determinant one, as lattice maps must.
 print()
-print("det D_3 =", linalg.det([[Fraction(x) for x in row] for row in cert.d_m]))
+print("det D_3 =", linalg.det(cert.d_m))

@@ -264,7 +264,7 @@ def check_decompose_preconditions(structure, u_basis):
     g, theta = structure.algebra, structure.theta
     if not u_basis:
         raise PreconditionError("empty ideal basis")
-    if linalg.rank(u_basis) != len(u_basis):
+    if linalg.rank(linalg.sparse_rows(u_basis)) != len(u_basis):
         raise PreconditionError("ideal basis is linearly dependent")
     for i in range(1, g.dim + 1):
         ei = g.basis_vector(i)

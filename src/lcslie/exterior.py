@@ -213,28 +213,50 @@ def ce_differential(g, a):
 
 
 def differential_matrix(g, degree, theta=None):
-    """Matrix of d (or d_theta) from degree-forms to (degree+1)-forms.
+    """Sparse matrix of d (or d_theta) from degree-forms to (degree+1)-forms.
 
-    Columns are indexed by form_basis(dim, degree), rows by
-    form_basis(dim, degree + 1); entry layout is colexicographic.
-    theta, when given, twists the differential to d - theta ^ (.).
+    Row r is a dict {column: entry} for the r-th key of
+    form_basis(dim, degree + 1), column c the c-th key of
+    form_basis(dim, degree) (colexicographic, so there are C(dim, degree)
+    columns); empty rows are kept.  theta, when given, twists the
+    differential to d - theta ^ (.).
+
+    Assembled by index arithmetic.  With d(e^m) = -sum_{i<j} c^m_ij e^ij
+    and the key K = (k_1 < ... < k_p), the antiderivation rule puts
+    e^{k_1..k_{a-1}} ^ d(e^{k_a}) ^ e^{k_{a+1}..k_p} in the column of K; in
+    the term for e^ij, with R = K minus k_a, moving e^i and e^j into place
+    from position a costs (-1)^(#R<i + #R<j), so with the rule's (-1)^(a-1)
+    the sign is (-1)^(a + #R<i + #R<j) for 0-based a.  theta ^ e^K puts
+    (-1)^(#K<l) theta_l on K plus l.
     """
-    dom = form_basis(g.dim, degree)
-    cod = form_basis(g.dim, degree + 1)
-    cod_index = {key: r for r, key in enumerate(cod)}
-    cols = []
-    for key in dom:
-        a = basis_form(g.dim, key)
-        da = ce_differential(g, a)
-        if theta is not None:
-            da = da - wedge(theta, a)
-        col = [Fraction(0)] * len(cod)
-        for k, v in da.coeffs.items():
-            col[cod_index[k]] = v
-        cols.append(col)
-    if not cod:
-        return [[Fraction(0)] * len(dom)] if dom else [[]]
-    return linalg.transpose(cols) if cols else [[] for _ in cod]
+    n = g.dim
+    d_basis = {m: [] for m in range(1, n + 1)}
+    for (i, j), c in g.brackets.items():
+        for m, x in enumerate(c, start=1):
+            if x:
+                d_basis[m].append((i, j, -x))
+    twist = [] if theta is None else theta.coeffs.items()
+    cod_index = {key: r for r, key in enumerate(form_basis(n, degree + 1))}
+    rows = [{} for _ in cod_index]
+
+    def add(key, col, value):
+        row = rows[cod_index[tuple(sorted(key))]]
+        row[col] = row.get(col, 0) + value
+
+    for col, key in enumerate(form_basis(n, degree)):
+        for a, m in enumerate(key):
+            rest = key[:a] + key[a + 1 :]
+            for i, j, x in d_basis[m]:
+                if i in rest or j in rest:
+                    continue
+                below = sum(1 for r in rest if r < i) + sum(1 for r in rest if r < j)
+                add(rest + (i, j), col, x if (a + below) % 2 == 0 else -x)
+        for (l,), t in twist:
+            if l in key:
+                continue
+            below = sum(1 for r in key if r < l)
+            add(key + (l,), col, -t if below % 2 == 0 else t)
+    return [{c: x for c, x in row.items() if x} for row in rows]
 
 
 def pullback(a, columns):

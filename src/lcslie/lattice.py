@@ -19,7 +19,7 @@ enters a verdict; t_m is reported as a float only.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import acosh
+from math import log, log1p, sqrt
 
 from . import linalg
 
@@ -76,9 +76,14 @@ def _twice(block, zero):
 
 
 def t_parameter(m):
+    """arccosh(m/2), as log(m/2) + log(1 + sqrt(1 - 4/m^2)).
+
+    math.log reads the integer m itself, so t_m stays finite for an m too
+    large to convert to a float.
+    """
     if m <= 2:
         raise ValueError(f"need m > 2 (arccosh({m}/2) is zero or undefined)")
-    return acosh(m / 2.0)
+    return log(m) - log(2) + log1p(sqrt(1 - 4 / m**2))
 
 
 def family_char_poly(m):

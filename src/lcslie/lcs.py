@@ -101,7 +101,7 @@ class LCSStructure:
     def primitive(self):
         """A 1-form eta with d(eta) - theta ^ eta = omega, or None if not exact."""
         matrix = differential_matrix(self.algebra, 1, self.theta)
-        solution = linalg.solve(matrix, form_to_vector(self.omega))
+        solution = linalg.sparse_solve(matrix, self.algebra.dim, form_to_vector(self.omega))
         return None if solution is None else vector_to_form(self.algebra.dim, 1, solution)
 
 

@@ -1,10 +1,14 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Matrices are lists of rows and entries are fractions.Fraction.  All the
-systems in this package are small (at most a few thousand unknowns), so
-the implementations favour clarity over asymptotics.  Ranks are computed
-by fraction-free (Bareiss) elimination on integer-scaled rows; solving
-and kernels go through an ordinary reduced row echelon form.
+Entries are fractions.Fraction.  Two representations are used.  The
+Chevalley-Eilenberg differentials are large and very sparse (often one or
+two nonzeros per row), so they are sparse matrices: lists of rows, each a
+dict {column: entry}.  Their ranks and kernels come from one sparse
+Gauss-Jordan elimination (eliminate), which takes the sparsest rows
+first; rank_mod_prime is a separate elimination over GF(p) that checks
+it.  The small n x n systems (Gram matrices, automorphism algebras,
+ideals) are dense lists of rows, solved through a reduced row echelon
+form.
 """
 
 from fractions import Fraction
@@ -51,42 +55,150 @@ def trace(a):
     return sum((a[i][i] for i in range(len(a))), Fraction(0))
 
 
-def _integer_rows(a):
-    """Scale each row by the lcm of its denominators; rank is unchanged."""
-    out = []
-    for row in a:
-        scale = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * scale) for x in row])
+# A sparse matrix is a list of rows, each a dict {column: nonzero entry};
+# empty rows are kept, and the column count is carried by the caller.
+
+# The Mersenne prime 2^61 - 1, modulus of the independent rank check.
+RANK_CHECK_PRIME = (1 << 61) - 1
+
+
+def sparse_rows(a):
+    """The sparse rows of a dense matrix."""
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+def sparse_transpose(rows, ncols):
+    """The ncols sparse rows of the transpose."""
+    out = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[j][i] = x
     return out
 
 
-def rank(a):
-    """Rank by fraction-free elimination.
+def sparse_mul(a, b):
+    """Product of sparse matrices; b's rows are indexed by a's columns."""
+    out = []
+    for row in a:
+        acc = {}
+        for j, x in row.items():
+            for k, y in b[j].items():
+                acc[k] = acc.get(k, 0) + x * y
+        out.append({k: v for k, v in acc.items() if v})
+    return out
 
-    The Bareiss pivot rule m[i][j] <- (piv*m[i][j] - m[i][col]*m[r][j]) / prev
-    keeps every intermediate entry an exact integer, so no coefficient
-    growth beyond minors occurs and no rounding is possible.
+
+def _subtract(row, c, pivot_row):
+    """row -= c * pivot_row, in place."""
+    for j, y in pivot_row.items():
+        v = row.get(j, 0) - c * y
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+
+
+def eliminate(rows):
+    """Exact sparse Gauss-Jordan elimination over the rationals.
+
+    Rows are taken sparsest first.  Each is reduced against the pivot
+    rows found so far, which hold no pivot column but their own, so one
+    pass leaves only non-pivot columns.  If anything is left, the row
+    becomes a pivot row, scaled to 1 on the column that occurs in the
+    fewest pivot rows (leftmost on ties), and that column is cleared from
+    the pivot rows holding it.  Returns {pivot column: reduced row}; its
+    length is the rank.
     """
-    if not a or not a[0]:
-        return 0
-    m = _integer_rows(a)
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    prev = 1
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][col]), None)
-        if piv is None:
+    pivots = {}
+    holders = {}  # non-pivot column -> pivot columns whose rows hold it
+    for row in sorted(rows, key=len):
+        row = {j: Fraction(x) for j, x in row.items()}
+        for hit in [j for j in row if j in pivots]:
+            _subtract(row, row[hit], pivots[hit])
+        if not row:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nrows):
-            for j in range(col + 1, ncols):
-                m[i][j] = (m[r][col] * m[i][j] - m[i][col] * m[r][j]) // prev
-            m[i][col] = 0
-        prev = m[r][col]
-        r += 1
-        if r == nrows:
-            break
-    return r
+        col = min(row, key=lambda j: (len(holders.get(j, ())), j))
+        inv_p = 1 / row[col]
+        row = {j: x * inv_p for j, x in row.items()}
+        for other in holders.pop(col, ()):
+            other_row = pivots[other]
+            before = other_row.keys() - {col}
+            _subtract(other_row, other_row[col], row)
+            for j in other_row.keys() - before:
+                holders.setdefault(j, set()).add(other)
+            for j in before - other_row.keys():
+                holders[j].discard(other)
+        for j in row:
+            if j != col:
+                holders.setdefault(j, set()).add(col)
+        pivots[col] = row
+    return pivots
+
+
+def rank(rows):
+    """Rank of a sparse matrix, by eliminate."""
+    return len(eliminate(rows))
+
+
+def kernel(pivots, ncols):
+    """Right-kernel basis from eliminate's reduced pivot rows.
+
+    One sparse vector per free column f: 1 at f, minus row[f] at each
+    pivot column whose reduced row has an entry at f.
+    """
+    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivots}
+    for col, row in pivots.items():
+        for f, x in row.items():
+            if f != col:
+                basis[f][col] = -x
+    return list(basis.values())
+
+
+def sparse_solve(rows, ncols, b):
+    """One solution x (dense) of rows x = b, or None when inconsistent.
+
+    With b as column ncols, a kernel vector v of [rows | b] with
+    v[ncols] != 0 gives x = -v[:ncols] / v[ncols]; the kernel basis has
+    one exactly when b lies in the column span.
+    """
+    augmented = [{**row, ncols: v} if v else row for row, v in zip(rows, b)]
+    for v in kernel(eliminate(augmented), ncols + 1):
+        if ncols in v:
+            scale = -1 / v[ncols]
+            return [v.get(j, 0) * scale for j in range(ncols)]
+    return None
+
+
+def rank_mod_prime(rows):
+    """Rank over GF(p), p = RANK_CHECK_PRIME, of the rows scaled to integers.
+
+    It never exceeds the rank r over the rationals, and equals it unless p
+    divides every r x r minor (see Dumas and Villard, "Computing the rank
+    of large sparse matrices over finite fields", CASC 2002).
+    This is a separate elimination from eliminate, over another field, so
+    that it can check it.
+    """
+    p = RANK_CHECK_PRIME
+    pivots = {}
+    for row in rows:
+        row = {j: Fraction(x) for j, x in row.items()}
+        scale = lcm(*(x.denominator for x in row.values()))
+        row = {j: x.numerator * (scale // x.denominator) % p for j, x in row.items()}
+        row = {j: x for j, x in row.items() if x}
+        while row:
+            col = min(row)
+            if col not in pivots:
+                inv_p = pow(row[col], -1, p)
+                pivots[col] = {j: x * inv_p % p for j, x in row.items()}
+                break
+            c = row[col]
+            for j, y in pivots[col].items():
+                v = (row.get(j, 0) - c * y) % p
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+    return len(pivots)
 
 
 def rref(a):
@@ -101,7 +213,7 @@ def rref(a):
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv_p = 1 / m[r][col]
+        inv_p = 1 / Fraction(m[r][col])
         m[r] = [x * inv_p for x in m[r]]
         for i in range(nrows):
             if i != r and m[i][col]:
@@ -160,7 +272,7 @@ def det(a):
             m[col], m[piv] = m[piv], m[col]
             result = -result
         result *= m[col][col]
-        inv_p = 1 / m[col][col]
+        inv_p = 1 / Fraction(m[col][col])
         for i in range(col + 1, n):
             if m[i][col]:
                 c = m[i][col] * inv_p

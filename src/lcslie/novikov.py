@@ -2,9 +2,12 @@
 
 For a closed 1-form theta the operator d_theta(a) = d(a) - theta ^ a
 squares to zero, and its cohomology refines the untwisted Lie algebra
-cohomology (theta = 0).  The dimension of the closed forms in each
-degree is computed two independent ways, by the rank of the degree-wise
-matrix and by its reduced-echelon kernel; disagreement raises.
+cohomology (theta = 0).  The rank of each degree-wise sparse matrix comes
+from one exact elimination and is certified from both sides: the kernel
+vectors it yields are independent and multiply to zero (so the rank is
+at most r), and a separate elimination modulo a prime finds rank r too
+(so it is at least r).  Disagreement, or d_theta squaring to nonzero,
+raises.
 """
 
 from dataclasses import dataclass
@@ -39,23 +42,35 @@ class CohomologyReport:
     theta: object
 
 
+def _certified_rank(matrix, ncols, k):
+    """Rank r of a sparse matrix M, certified by its kernel and by a rank mod p.
+
+    Each kernel vector built from eliminate's rows is nonzero at exactly
+    one non-pivot column, a different one for each, so they are
+    independent, and ncols - r of them with M v = 0 put the rank at most
+    r.  The rank mod p is at most the rank, so equal to r it puts the rank
+    at least r.
+    """
+    pivots = linalg.eliminate(matrix)
+    r = len(pivots)
+    kernel = linalg.kernel(pivots, ncols)
+    free = [tuple(j for j in v if j not in pivots) for v in kernel]
+    independent = all(len(f) == 1 for f in free) and len(set(free)) == len(free) == ncols - r
+    images = linalg.sparse_mul(kernel, linalg.sparse_transpose(matrix, ncols))
+    if not independent or any(images) or linalg.rank_mod_prime(matrix) != r:
+        raise RuntimeError(f"rank/kernel mismatch in degree {k}")
+    return r
+
+
 def _betti_vector(g, theta):
-    """(betti, closed_dims) for d_theta; closed dims are cross-checked two ways."""
+    """(betti, closed_dims) for d_theta, from certified ranks."""
     n = g.dim
-    ranks = []
-    closed = []
-    for k in range(n + 1):
-        matrix = differential_matrix(g, k, theta)
-        r = linalg.rank(matrix)
-        ranks.append(r)
-        closed.append(comb(n, k) - r)
-        # independent elimination: kernel dimension by reduced echelon form
-        if matrix and matrix[0]:
-            kernel_dim = len(linalg.nullspace(matrix))
-        else:
-            kernel_dim = comb(n, k)
-        if kernel_dim != closed[-1]:
-            raise RuntimeError(f"rank/kernel mismatch in degree {k}")
+    matrices = [differential_matrix(g, k, theta) for k in range(n + 1)]
+    for k in range(n):
+        if any(linalg.sparse_mul(matrices[k + 1], matrices[k])):
+            raise RuntimeError(f"d_theta does not square to zero in degree {k}")
+    ranks = [_certified_rank(matrices[k], comb(n, k), k) for k in range(n + 1)]
+    closed = [comb(n, k) - ranks[k] for k in range(n + 1)]
     betti = tuple(closed[k] - (ranks[k - 1] if k else 0) for k in range(n + 1))
     return betti, tuple(closed)
 
@@ -87,6 +102,8 @@ def is_exact_class(g, theta, a):
     if a.degree == 0:
         return a.is_zero()
     matrix = differential_matrix(g, a.degree - 1, theta)
-    vec = form_to_vector(a)
-    augmented = [row + [v] for row, v in zip(matrix, vec)]
+    column = comb(g.dim, a.degree - 1)
+    augmented = [
+        {**row, column: v} if v else row for row, v in zip(matrix, form_to_vector(a))
+    ]
     return linalg.rank(matrix) == linalg.rank(augmented)

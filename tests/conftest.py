@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from lcslie import corpus
@@ -42,3 +44,13 @@ def _conjugation_failures(cert):
 @pytest.fixture(scope="session")
 def conjugation_failures():
     return _conjugation_failures
+
+
+@pytest.fixture(scope="session")
+def dense():
+    """The dense list-of-rows form of a sparse matrix with ncols columns."""
+
+    def to_dense(rows, ncols):
+        return [[row.get(j, Fraction(0)) for j in range(ncols)] for row in rows]
+
+    return to_dense

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, run in process."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -229,6 +230,13 @@ def test_lattice_large_m_window(capsys):
     pairs = json.loads(out)["distinguish"]
     assert len(pairs) == 30 * 31 // 2
     assert all(item["distinct"] == (item["m"] != item["n"]) for item in pairs)
+
+
+def test_lattice_huge_m_reports_a_finite_t_m(capsys):
+    code, out, _ = run(capsys, "lattice", "--m", str(10**400), "--json")
+    assert code == 0
+    (cert,) = json.loads(out)["certificates"]
+    assert math.isclose(cert["t_m"], 400 * math.log(10), rel_tol=1e-12)
 
 
 def test_lattice_has_no_tol_option(capsys):

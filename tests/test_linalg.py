@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from lcslie import linalg
 
@@ -23,16 +24,71 @@ def test_rank_and_det_match_sympy():
         cols = rng.randint(1, 5)
         a = random_matrix(rng, rows, cols)
         s = sympy.Matrix(rows, cols, lambda i, j: sympy.Rational(a[i][j]))
-        assert linalg.rank(a) == s.rank()
+        assert linalg.rank(linalg.sparse_rows(a)) == s.rank()
         if rows == cols:
             assert sympy.Rational(linalg.det(a)) == s.det()
 
 
+@st.composite
+def sparse_matrices(draw):
+    """(rows, ncols): sparse rational matrices, often with empty rows and columns."""
+    nrows = draw(st.integers(min_value=0, max_value=7))
+    ncols = draw(st.integers(min_value=0, max_value=7))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    rows = []
+    for _ in range(nrows):
+        cols = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)) if ncols else set()
+        rows.append({j: x for j in sorted(cols) if (x := draw(entry))})
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_sparse_rank_and_kernel_match_sympy(dense, data):
+    rows, ncols = data
+    s = sympy.Matrix(len(rows), ncols, lambda i, j: sympy.Rational(rows[i].get(j, 0)))
+    pivots = linalg.eliminate(rows)
+    assert linalg.rank(rows) == len(pivots) == s.rank()
+    assert linalg.rank_mod_prime(rows) == s.rank()
+    basis = linalg.kernel(pivots, ncols)
+    assert len(basis) == ncols - s.rank()
+    matrix = dense(rows, ncols)
+    for v in dense(basis, ncols):
+        assert linalg.mat_vec(matrix, v) == [0] * len(rows)
+    assert linalg.rank(basis) == len(basis)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices(), st.lists(st.integers(-3, 3), min_size=7, max_size=7))
+def test_sparse_solve_agrees_with_dense_solve(dense, data, b):
+    rows, ncols = data
+    b = [Fraction(x) for x in b[: len(rows)]]
+    matrix = dense(rows, ncols)
+    x = linalg.sparse_solve(rows, ncols, b)
+    if x is None:
+        assert linalg.solve(matrix, b) is None
+    else:
+        assert linalg.mat_vec(matrix, x) == b
+
+
+def test_det_and_rref_of_int_matrices_are_exact():
+    rng = random.Random(7)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        d = linalg.det(a)
+        assert isinstance(d, Fraction) and sympy.Rational(d) == sympy.Matrix(a).det()
+    assert linalg.det([[3, 1], [1, 1]]) == Fraction(2)
+    m, pivots = linalg.rref([[2, 1], [1, 1]])
+    assert pivots == [0, 1]
+    assert all(isinstance(x, Fraction) for row in m for x in row)
+
+
 def test_rank_of_empty_and_zero():
     assert linalg.rank([]) == 0
-    assert linalg.rank([[]]) == 0
-    assert linalg.rank(linalg.zeros(3, 4)) == 0
-    assert linalg.rank(linalg.identity(5)) == 5
+    assert linalg.rank(linalg.sparse_rows([[]])) == 0
+    assert linalg.rank(linalg.sparse_rows(linalg.zeros(3, 4))) == 0
+    assert linalg.rank(linalg.sparse_rows(linalg.identity(5))) == 5
 
 
 def test_nullspace_vectors_are_in_the_kernel():
@@ -42,10 +98,10 @@ def test_nullspace_vectors_are_in_the_kernel():
         cols = rng.randint(1, 5)
         a = random_matrix(rng, rows, cols)
         basis = linalg.nullspace(a)
-        assert len(basis) == cols - linalg.rank(a)
+        assert len(basis) == cols - linalg.rank(linalg.sparse_rows(a))
         for v in basis:
             assert linalg.mat_vec(a, v) == [Fraction(0)] * rows
-        assert linalg.rank(basis) == len(basis) if basis else True
+        assert linalg.rank(linalg.sparse_rows(basis)) == len(basis) if basis else True
 
 
 def test_nullspace_rejects_empty_matrix():

@@ -1,11 +1,15 @@
 """Twisted cohomology: the differential, Betti vectors, exactness."""
 
+import importlib.util
 from fractions import Fraction
+from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from lcslie import linalg
+from lcslie import linalg, novikov
+from lcslie.algebra import LieAlgebra
 from lcslie.exterior import (
     KForm,
     basis_form,
@@ -17,6 +21,8 @@ from lcslie.exterior import (
 from lcslie.lcs import LCSStructure
 from lcslie.notation import parse_structure_equations
 from lcslie.novikov import cohomology, is_exact_class, twisted_differential
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 # frozen reference vectors; the 8-dimensional pair has been verified
 # against an independent simplicial-formula implementation
@@ -122,3 +128,95 @@ def test_is_exact_class_edge_cases():
     assert not is_exact_class(g, zero, KForm(4, 0, {(): Fraction(1)}))
     # theta itself is d_theta-exact: theta = -d_theta(1)
     assert is_exact_class(g, theta, theta)
+
+
+def almost_abelian(matrix):
+    """R e_1 ⋉_A R^(n-1) with [e_1, e_(j+2)] = sum_i A[i][j] e_(i+2)."""
+    n = len(matrix) + 1
+    brackets = {(1, j + 2): [0] + [row[j] for row in matrix] for j in range(n - 1)}
+    return LieAlgebra(n, brackets)
+
+
+def subset_count_betti(eigenvalues, c):
+    """Betti numbers of R ⋉_A R^(n-1), A diagonal, for d_theta with theta = c e^1.
+
+    d_theta(e^S) = -(a_S + c) e^1 ^ e^S and d_theta(e^1 ^ e^S) = 0, where a_S
+    sums the eigenvalues over S, so b_k = N_k(-c) + N_(k-1)(-c) with N_k(s)
+    the number of k-subsets summing to s.
+    """
+    n = len(eigenvalues) + 1
+
+    def count(k, total):
+        return sum(1 for s in combinations(eigenvalues, k) if sum(s) == total) if k >= 0 else 0
+
+    return tuple(count(k, -c) + count(k - 1, -c) for k in range(n + 1))
+
+
+@pytest.mark.parametrize(
+    "eigenvalues",
+    [(-5, -4, -3, -2, -1, -1, 1, 1, 2, 3, 4), (-5, -4, -3, -2, -1, -1, 1, 2, 2, 3, 4, 5, 7)],
+    ids=["dim12", "dim14"],
+)
+def test_almost_abelian_cohomology_matches_subset_counts(eigenvalues):
+    r = len(eigenvalues)
+    g = almost_abelian([[eigenvalues[i] if i == j else 0 for j in range(r)] for i in range(r)])
+    theta = one_form(r + 1, [2] + [0] * r)
+    report = cohomology(g, theta)
+    assert report.betti == subset_count_betti(eigenvalues, 0)
+    assert report.twisted_betti == subset_count_betti(eigenvalues, 2)
+
+
+def test_cohomology_matches_the_sympy_oracle_in_dim_6():
+    spec = importlib.util.spec_from_file_location("build_corpus", SCRIPTS / "build_corpus.py")
+    build_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(build_corpus)
+    diagonal = [[0] * 5 for _ in range(5)]
+    for i, a in enumerate((-2, -1, 1, 1, 3)):
+        diagonal[i][i] = a
+    # P diag P^-1 with P = L L^T, L unit lower triangular: A is integral and dense
+    lower = [[1 if i == j else (i - j) % 3 - 1 if i > j else 0 for j in range(5)] for i in range(5)]
+    p = linalg.mat_mul(lower, linalg.transpose(lower))
+    conjugated = linalg.mat_mul(linalg.mat_mul(p, diagonal), linalg.inv(p))
+    for matrix in (diagonal, conjugated):
+        g = almost_abelian(matrix)
+        for c in (1, -2, Fraction(1, 2)):
+            theta = [c, 0, 0, 0, 0, 0]
+            report = cohomology(g, one_form(6, theta))
+            assert (report.betti, report.twisted_betti) == build_corpus.sympy_betti(g, theta)
+
+
+def test_rank_certificate_catches_a_dropped_or_invented_pivot(monkeypatch, by_name):
+    g, theta = by_name["rr3-1"].algebra(), by_name["rr3-1"].theta_form()
+    honest = linalg.eliminate
+
+    def dropped(rows):
+        pivots = honest(rows)
+        if pivots:
+            del pivots[next(iter(pivots))]
+        return pivots
+
+    def invented(rows):
+        pivots = honest(rows)
+        if not any(rows):  # the zero matrix gains a pivot on column 0
+            pivots[0] = {0: Fraction(1)}
+        return pivots
+
+    for bad in (dropped, invented):
+        monkeypatch.setattr(linalg, "eliminate", bad)
+        with pytest.raises(RuntimeError, match="rank/kernel mismatch in degree"):
+            cohomology(g, theta)
+    monkeypatch.setattr(linalg, "eliminate", honest)
+    assert cohomology(g, theta).betti == KNOWN["rr3-1"][0]
+
+
+def test_a_differential_that_does_not_square_to_zero_raises(monkeypatch, by_name):
+    g, theta = by_name["rr3-1"].algebra(), by_name["rr3-1"].theta_form()
+    honest = novikov.differential_matrix
+
+    def corrupted(g, degree, theta=None):
+        rows = honest(g, degree, theta)
+        return [{0: Fraction(1)} for _ in rows] if degree == 0 else rows
+
+    monkeypatch.setattr(novikov, "differential_matrix", corrupted)
+    with pytest.raises(RuntimeError, match="does not square to zero"):
+        cohomology(g, theta)

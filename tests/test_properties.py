@@ -7,6 +7,7 @@ family a convenient unrestricted source of (algebra, Lee form) pairs.
 """
 
 from fractions import Fraction
+from math import comb
 
 from hypothesis import given, settings, strategies as st
 
@@ -67,21 +68,21 @@ def test_notation_round_trip(data):
 
 @SETTINGS
 @given(almost_abelian())
-def test_untwisted_differential_squares_to_zero(data):
+def test_untwisted_differential_squares_to_zero(dense, data):
     g, _theta, _action = data
     for k in range(g.dim):
-        first = differential_matrix(g, k)
-        second = differential_matrix(g, k + 1)
+        first = dense(differential_matrix(g, k), comb(g.dim, k))
+        second = dense(differential_matrix(g, k + 1), comb(g.dim, k + 1))
         assert linalg.mat_mul(second, first) == linalg.zeros(len(second), len(first[0]))
 
 
 @SETTINGS
 @given(almost_abelian())
-def test_twisted_differential_squares_to_zero(data):
+def test_twisted_differential_squares_to_zero(dense, data):
     g, theta, _action = data
     for k in range(g.dim):
-        first = differential_matrix(g, k, theta)
-        second = differential_matrix(g, k + 1, theta)
+        first = dense(differential_matrix(g, k, theta), comb(g.dim, k))
+        second = dense(differential_matrix(g, k + 1, theta), comb(g.dim, k + 1))
         assert linalg.mat_mul(second, first) == linalg.zeros(len(second), len(first[0]))
 
 
