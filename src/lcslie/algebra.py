@@ -1,38 +1,56 @@
 """Lie algebras presented by structure constants on a fixed basis.
 
 Elements are coordinate lists over the basis e_1, ..., e_n; there is no
-abstract element type.  Only brackets [e_i, e_j] with i < j are stored,
-antisymmetry being implicit.
+abstract element type.  The structure constants are one sparse table:
+brackets[(i, j)] = {k: c^k_ij} for i < j, holding only the nonzero
+c^k_ij with 1-based k, and omitting the pairs whose bracket is zero;
+antisymmetry is implicit.  Everything that reads the structure constants
+(brackets, traces of ad, the Jacobi identity, the differential d(e^k),
+the structure equations) walks this table, so the cost follows its
+nonzeros rather than n^3.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import linalg
 
 MAX_DIM = 14  # keeps every exterior power at most C(14,7) = 3432 dimensional
 
+_NO_TERMS = MappingProxyType({})
 
-def _frozen_brackets(brackets, dim):
+
+def _sparse_brackets(brackets, dim):
+    """The table {(i, j): {k: c}} from dense coordinate lists or {k: c} dicts."""
     out = {}
     for (i, j), vec in brackets.items():
         if not (1 <= i < j <= dim):
             raise ValueError(f"bracket key ({i},{j}) out of range for dim {dim}")
-        v = tuple(Fraction(x) for x in vec)
-        if len(v) != dim:
-            raise ValueError(f"bracket [e{i},e{j}] has length {len(v)}, expected {dim}")
-        if any(v):
+        if isinstance(vec, dict):
+            if any(not (1 <= k <= dim) for k in vec):
+                raise ValueError(f"bracket [e{i},e{j}] has a coordinate out of range 1..{dim}")
+            terms = vec.items()
+        else:
+            if len(vec) != dim:
+                raise ValueError(f"bracket [e{i},e{j}] has length {len(vec)}, expected {dim}")
+            terms = enumerate(vec, start=1)
+        v = {k: Fraction(x) for k, x in terms if x}
+        if v:
             out[(i, j)] = v
     return out
 
 
 @dataclass(frozen=True, eq=False)
 class LieAlgebra:
-    """dim and a map (i, j) -> coordinates of [e_i, e_j], i < j.
+    """dim and the sparse table (i, j) -> {k: c^k_ij} of [e_i, e_j], i < j.
 
-    Zero brackets are dropped at construction.  The Jacobi identity is
-    not enforced here; parse_structure_equations and the constructive
-    operations run check_jacobi and refuse invalid input.
+    The constructor also accepts each bracket as a dense coordinate list
+    of length dim; zero coordinates and zero brackets are dropped.  The
+    table is shared, not copied, by the methods that read it, so treat it
+    as read-only.  The Jacobi identity is not enforced here;
+    parse_structure_equations and the constructive operations run
+    check_jacobi and refuse invalid input.
     """
 
     dim: int
@@ -42,7 +60,7 @@ class LieAlgebra:
     def __post_init__(self):
         if not (1 <= self.dim <= MAX_DIM):
             raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {self.dim}")
-        object.__setattr__(self, "brackets", _frozen_brackets(self.brackets, self.dim))
+        object.__setattr__(self, "brackets", _sparse_brackets(self.brackets, self.dim))
         labels = self.labels or tuple(f"e{i}" for i in range(1, self.dim + 1))
         if len(labels) != self.dim:
             raise ValueError("label count does not match dimension")
@@ -53,33 +71,67 @@ class LieAlgebra:
             return NotImplemented
         return self.dim == other.dim and self.brackets == other.brackets
 
+    def bracket_terms(self, i, j):
+        """(sign, terms) with [e_i, e_j] = sign * sum_k terms[k] e_k, any i, j.
+
+        terms is the stored table entry (empty for a zero bracket).
+        """
+        if i < j:
+            return 1, self.brackets.get((i, j), _NO_TERMS)
+        return -1, self.brackets.get((j, i), _NO_TERMS)
+
     def basis_bracket(self, i, j):
         """[e_i, e_j] as a coordinate list, any i, j in 1..dim."""
-        if i == j:
-            return [Fraction(0)] * self.dim
-        if i < j:
-            c = self.brackets.get((i, j))
-            sign = 1
-        else:
-            c = self.brackets.get((j, i))
-            sign = -1
-        if c is None:
-            return [Fraction(0)] * self.dim
-        return [sign * x for x in c]
+        sign, terms = self.bracket_terms(i, j)
+        out = [Fraction(0)] * self.dim
+        for k, c in terms.items():
+            out[k - 1] = sign * c
+        return out
 
     def bracket(self, x, y):
-        """[x, y] for coordinate vectors x and y."""
+        """[x, y] for coordinate vectors x and y.
+
+        Walks the pairs of nonzero coordinates of x and y and the stored
+        terms of their brackets.
+        """
+        table = self.brackets
+        ys = [(j, b) for j, b in enumerate(y, start=1) if b]
+        acc = {}
+        for i, a in enumerate(x, start=1):
+            if not a:
+                continue
+            for j, b in ys:
+                if i < j:
+                    terms, sign = table.get((i, j)), 1
+                elif i > j:
+                    terms, sign = table.get((j, i)), -1
+                else:
+                    continue
+                if terms:
+                    s = a * b if sign > 0 else -(a * b)
+                    for k, c in terms.items():
+                        acc[k] = acc.get(k, 0) + s * c
         out = [Fraction(0)] * self.dim
-        for (i, j), c in self.brackets.items():
-            s = x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
-            if s:
-                for k in range(self.dim):
-                    out[k] += s * c[k]
+        for k, v in acc.items():
+            out[k - 1] = v
         return out
 
     def structure_constant(self, i, j, k):
         """c^k_{ij} with [e_i, e_j] = sum_k c^k_{ij} e_k (any i, j)."""
-        return self.basis_bracket(i, j)[k - 1]
+        sign, terms = self.bracket_terms(i, j)
+        return sign * terms.get(k, Fraction(0))
+
+    def ad_traces(self):
+        """[tr ad_{e_1}, ..., tr ad_{e_n}], with tr ad_{e_i} = sum_j c^j_{ij}.
+
+        The stored [e_i, e_j], i < j, adds c^j_ij to the trace for e_i and,
+        as [e_j, e_i] = -[e_i, e_j], subtracts c^i_ij from that for e_j.
+        """
+        out = [Fraction(0)] * self.dim
+        for (i, j), terms in self.brackets.items():
+            out[i - 1] += terms.get(j, 0)
+            out[j - 1] -= terms.get(i, 0)
+        return out
 
     def basis_vector(self, i):
         v = [Fraction(0)] * self.dim
@@ -94,21 +146,28 @@ def abelian(dim):
 def change_basis(g, columns):
     """The same algebra expressed in the basis given by the matrix columns."""
     n = g.dim
-    inv = linalg.inv(columns)
     new_basis = [[row[j] for row in columns] for j in range(n)]
+    span = linalg.Span(new_basis)
+    if span.rank != n:
+        raise ValueError("matrix is singular")
     brackets = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             w = g.bracket(new_basis[i - 1], new_basis[j - 1])
-            brackets[(i, j)] = linalg.mat_vec(inv, w)
+            brackets[(i, j)] = span.coordinates(w)
     return LieAlgebra(n, brackets)
 
 
 def center(g):
-    """Basis of {x : [x, y] = 0 for all y}."""
-    rows = []
-    for j in range(1, g.dim + 1):
-        ej = g.basis_vector(j)
-        for k in range(g.dim):
-            rows.append([g.bracket(g.basis_vector(i), ej)[k] for i in range(1, g.dim + 1)])
-    return linalg.nullspace(rows)
+    """Basis of {x : [x, y] = 0 for all y}.
+
+    x is central when sum_i x_i c^k_{ij} = 0 for every j and k; the rows
+    of that system are read off the table in one pass.
+    """
+    n = g.dim
+    rows = {}
+    for (i, j), terms in g.brackets.items():
+        for k, c in terms.items():
+            rows.setdefault((j, k), [Fraction(0)] * n)[i - 1] += c
+            rows.setdefault((i, k), [Fraction(0)] * n)[j - 1] -= c
+    return linalg.nullspace(list(rows.values()) or [[Fraction(0)] * n])

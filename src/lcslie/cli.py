@@ -394,10 +394,9 @@ def _regress_entry(entry):
         if g.dim != entry.dim:
             return entry.name, [f"declared dim {entry.dim} but tuple has arity {g.dim}"], notes
 
-        if entry.unimodular is not None:
-            actual = is_unimodular(g)
-            if actual != entry.unimodular:
-                failures.append(f"unimodular: expected {entry.unimodular}, computed {actual}")
+        unimodular = is_unimodular(g)
+        if entry.unimodular is not None and unimodular != entry.unimodular:
+            failures.append(f"unimodular: expected {entry.unimodular}, computed {unimodular}")
 
         omega = entry.omega_form()
         theta = entry.theta_form()
@@ -421,7 +420,7 @@ def _regress_entry(entry):
             exact = structure.primitive is not None
             if exact != novikov.is_exact_class(g, theta, omega):
                 failures.append("exactness: primitive search and rank computation disagree")
-            if is_unimodular(g) and exact != (verdict.kind is Kind.FIRST_KIND):
+            if unimodular and exact != (verdict.kind is Kind.FIRST_KIND):
                 failures.append("exactness does not match the kind on a unimodular algebra")
 
         if entry.extn is not None:

@@ -21,7 +21,7 @@ from itertools import combinations
 
 from . import linalg
 from .algebra import LieAlgebra, change_basis
-from .exterior import KForm, adjoint, check_jacobi, is_unimodular, one_form, pullback
+from .exterior import KForm, check_jacobi, is_unimodular, one_form, pullback
 from .lcs import CheckResult, Kind, LCSStructure
 
 
@@ -191,15 +191,11 @@ def extend(structure, rep):
 
     hd, vd = h.dim, rep.space.dim
     total = hd + vd
-    brackets = {}
-    for (i, j), c in h.brackets.items():
-        brackets[(i, j)] = list(c) + [Fraction(0)] * vd
+    brackets = dict(h.brackets)
     for i in range(1, hd + 1):
         mat = rep.mats[i - 1]
         for a in range(vd):
-            column = [mat[r][a] for r in range(vd)]
-            if any(column):
-                brackets[(i, hd + a + 1)] = [Fraction(0)] * hd + column
+            brackets[(i, hd + a + 1)] = {hd + r + 1: mat[r][a] for r in range(vd) if mat[r][a]}
     g = LieAlgebra(total, brackets)
     ok, witness = check_jacobi(g)
     if not ok:
@@ -227,8 +223,7 @@ def unimodular_extension_dim(h, theta):
     if theta.is_zero():
         raise ValueError("theta = 0 never extends to a twisted unimodular product")
     n_value = None
-    for i in range(1, h.dim + 1):
-        t = linalg.trace(adjoint(h, h.basis_vector(i)))
+    for i, t in enumerate(h.ad_traces(), start=1):
         c = theta.coefficient((i,))
         if c == 0:
             if t != 0:
@@ -243,33 +238,42 @@ def unimodular_extension_dim(h, theta):
 
 
 def _omega_on(structure, left, right):
-    """Matrix of omega(l, r) for l in left and r in right, from the Gram matrix."""
-    images = [linalg.mat_vec(structure.gram, r) for r in right]
-    return [[sum((x * y for x, y in zip(l, image)), Fraction(0)) for image in images] for l in left]
+    """Matrix of omega(l, r) for l in left and r in right, read off omega's coefficients."""
+    terms = structure.omega.coeffs.items()
+    return [
+        [
+            sum((c * (l[i - 1] * r[j - 1] - l[j - 1] * r[i - 1])
+                 for (i, j), c in terms if (l[i - 1] or l[j - 1]) and (r[i - 1] or r[j - 1])),
+                Fraction(0))
+            for r in right
+        ]
+        for l in left
+    ]
 
 
-def _span_matrix(vectors):
-    return linalg.transpose(vectors)
-
-
-def _coordinates_in(vectors, x):
-    coords = linalg.solve(_span_matrix(vectors), x)
+def _coordinates_in(span, x):
+    coords = span.coordinates(x)
     if coords is None:
         raise PreconditionError("vector leaves the subspace", x)
     return coords
 
 
 def check_decompose_preconditions(structure, u_basis):
-    """Raise PreconditionError naming the first failed requirement on u."""
+    """Raise PreconditionError naming the first failed requirement on u.
+
+    Returns the linalg.Span of u_basis, reduced once for every later
+    coordinate query.
+    """
     g, theta = structure.algebra, structure.theta
     if not u_basis:
         raise PreconditionError("empty ideal basis")
-    if linalg.rank(linalg.sparse_rows(u_basis)) != len(u_basis):
+    span = linalg.Span(u_basis)
+    if span.rank != len(u_basis):
         raise PreconditionError("ideal basis is linearly dependent")
     for i in range(1, g.dim + 1):
         ei = g.basis_vector(i)
         for u in u_basis:
-            if linalg.solve(_span_matrix(u_basis), g.bracket(ei, u)) is None:
+            if span.coordinates(g.bracket(ei, u)) is None:
                 raise PreconditionError("not an ideal", (i, u))
     for a in range(len(u_basis)):
         for b in range(a + 1, len(u_basis)):
@@ -282,6 +286,7 @@ def check_decompose_preconditions(structure, u_basis):
     for u in u_basis:
         if theta.evaluate(u) != 0:
             raise PreconditionError("ideal is not contained in ker(theta)", u)
+    return span
 
 
 def decompose(structure, u_basis):
@@ -295,21 +300,20 @@ def decompose(structure, u_basis):
     """
     g, omega, theta = structure.algebra, structure.omega, structure.theta
     u_basis = [[Fraction(x) for x in u] for u in u_basis]
-    check_decompose_preconditions(structure, u_basis)
+    u_span = check_decompose_preconditions(structure, u_basis)
 
     perp = linalg.nullspace([linalg.mat_vec(structure.gram, u) for u in u_basis])
     if len(perp) + len(u_basis) != g.dim:
         raise RuntimeError("orthogonal complement has the wrong dimension")
-    for x in perp:
-        for y in perp:
-            if linalg.solve(_span_matrix(perp), g.bracket(x, y)) is None:
-                raise RuntimeError("orthogonal complement is not a subalgebra")
-
+    # the bracket is antisymmetric, so the pairs i < j decide closure
+    perp_span = linalg.Span(perp)
     hd = len(perp)
     h_brackets = {}
     for i in range(1, hd + 1):
         for j in range(i + 1, hd + 1):
-            coords = _coordinates_in(perp, g.bracket(perp[i - 1], perp[j - 1]))
+            coords = perp_span.coordinates(g.bracket(perp[i - 1], perp[j - 1]))
+            if coords is None:
+                raise RuntimeError("orthogonal complement is not a subalgebra")
             h_brackets[(i, j)] = coords
     h = LieAlgebra(hd, h_brackets)
 
@@ -323,7 +327,7 @@ def decompose(structure, u_basis):
     space = SymplecticSpace(len(u_basis), _omega_on(structure, u_basis, u_basis))
     mats = []
     for x in perp:
-        cols = [_coordinates_in(u_basis, g.bracket(x, u)) for u in u_basis]
+        cols = [_coordinates_in(u_span, g.bracket(x, u)) for u in u_basis]
         mats.append(linalg.transpose(cols))
     rep = Representation(h, space, mats)
 
@@ -331,7 +335,7 @@ def decompose(structure, u_basis):
         raise RuntimeError("decomposable structure failed to be of the second kind")
 
     rebuilt = extend(base, rep)
-    basis_cols = _span_matrix(perp + u_basis)
+    basis_cols = linalg.transpose(perp + u_basis)
     if change_basis(g, basis_cols) != rebuilt.algebra:
         raise RuntimeError("round trip does not reproduce the algebra")
     if pullback(omega, basis_cols) != rebuilt.structure.omega:

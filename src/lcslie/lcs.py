@@ -181,9 +181,10 @@ def automorphism_algebra(g, omega):
         lie = [_covector(gram, g.basis_bracket(i, j)) for j in range(1, n + 1)]
         columns.append([lie[j][k] - lie[k][j] for j, k in combinations(range(n), 2)])
     solutions = linalg.nullspace(linalg.transpose(columns))
+    span = linalg.Span(solutions)
     for a, x in enumerate(solutions):
         for y in solutions[a + 1 :]:
-            if not linalg.in_span(solutions, g.bracket(x, y)):
+            if span.coordinates(g.bracket(x, y)) is None:
                 raise RuntimeError("automorphism space is not bracket-closed")
     return solutions
 

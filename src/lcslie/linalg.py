@@ -6,9 +6,12 @@ two nonzeros per row), so they are sparse matrices: lists of rows, each a
 dict {column: entry}.  Their ranks and kernels come from one sparse
 Gauss-Jordan elimination (eliminate), which takes the sparsest rows
 first; rank_mod_prime is a separate elimination over GF(p) that checks
-it.  The small n x n systems (Gram matrices, automorphism algebras,
-ideals) are dense lists of rows, solved through a reduced row echelon
-form.
+it.  A subspace that is queried many times (an ideal, an orthogonal
+complement, a new basis) is a Span: its spanning vectors are reduced
+once, and each later query, "the coordinates of x, or None when x is off
+the span", costs one pass over the reduced rows.  The remaining small
+n x n systems (Gram matrices, automorphism algebras, the Lee form) are
+dense lists of rows, solved through a reduced row echelon form.
 """
 
 from fractions import Fraction
@@ -169,6 +172,57 @@ def sparse_solve(rows, ncols, b):
     return None
 
 
+class Span:
+    """The span of a list of vectors, reduced once for repeated queries.
+
+    The vectors are eliminated as sparse rows, Gauss-Jordan, and each
+    reduced row remembers the combination of the vectors it equals.  rank
+    is the dimension of the span; a vector that depends on the ones
+    before it adds no row.
+    """
+
+    def __init__(self, vectors):
+        self._size = len(vectors)
+        pivots = {}  # pivot column -> (reduced row, {vector index: coefficient})
+        for s, v in enumerate(vectors):
+            row = {j: Fraction(x) for j, x in enumerate(v) if x}
+            combination = {s: Fraction(1)}
+            for hit in [j for j in row if j in pivots]:
+                c = row[hit]
+                _subtract(row, c, pivots[hit][0])
+                _subtract(combination, c, pivots[hit][1])
+            if not row:
+                continue
+            col = min(row)
+            inv_p = 1 / row[col]
+            row = {j: x * inv_p for j, x in row.items()}
+            combination = {t: x * inv_p for t, x in combination.items()}
+            for other_row, other_combination in pivots.values():
+                c = other_row.get(col)
+                if c:
+                    _subtract(other_row, c, row)
+                    _subtract(other_combination, c, combination)
+            pivots[col] = (row, combination)
+        self._pivots = pivots
+        self.rank = len(pivots)
+
+    def coordinates(self, x):
+        """Coefficients c with x = sum_s c[s] vectors[s], or None when x is off the span.
+
+        For dependent vectors this is the solution that is zero on every
+        vector depending on the ones before it.
+        """
+        row = {j: v for j, v in enumerate(x) if v}
+        coords = [Fraction(0)] * self._size
+        for hit in [j for j in row if j in self._pivots]:
+            c = row[hit]
+            pivot_row, combination = self._pivots[hit]
+            _subtract(row, c, pivot_row)
+            for s, t in combination.items():
+                coords[s] += c * t
+        return None if row else coords
+
+
 def rank_mod_prime(rows):
     """Rank over GF(p), p = RANK_CHECK_PRIME, of the rows scaled to integers.
 
@@ -291,7 +345,4 @@ def inv(a):
 
 def in_span(vectors, v):
     """Exact membership of v in the span of the given vectors."""
-    if not vectors:
-        return all(x == 0 for x in v)
-    cols = transpose(vectors)
-    return solve(cols, v) is not None
+    return Span(vectors).coordinates(v) is not None

@@ -252,8 +252,7 @@ def parse_structure_equations(src, parameters=None):
     brackets = {}
     for k, coeffs in enumerate(differentials, start=1):
         for (i, j), c in coeffs.items():
-            vec = brackets.setdefault((i, j), [Fraction(0)] * dim)
-            vec[k - 1] = -c
+            brackets.setdefault((i, j), {})[k] = -c
     g = LieAlgebra(dim, brackets)
     ok, witness = check_jacobi(g)
     if not ok:
@@ -280,10 +279,10 @@ def format_structure_equations(g):
     entries = []
     for k in range(1, g.dim + 1):
         terms = []
-        for (i, j) in sorted(g.brackets):
-            c = -g.brackets[(i, j)][k - 1]
-            if not c:
+        for (i, j), bracket in sorted(g.brackets.items()):
+            if k not in bracket:
                 continue
+            c = -bracket[k]
             pair_text = f"{i}{j}" if plain else f"[{i}][{j}]"
             terms.append(_format_coeff(c, pair_text, plain))
         if not terms:

@@ -255,6 +255,14 @@ def test_regress_packaged_corpus(capsys):
     assert all(r["ok"] for r in payload["records"])
 
 
+def test_regress_json_matches_the_recorded_snapshot(capsys):
+    """Byte for byte, the report the dense-bracket implementation printed."""
+    snapshot = Path(__file__).parent / "data" / "regress_packaged.json"
+    code, out, _ = run(capsys, "regress", str(default_corpus_path()), "--json")
+    assert code == 0
+    assert out == snapshot.read_text(encoding="utf-8")
+
+
 def test_regress_flags_a_corrupted_expectation(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text(R2P_LINE.replace("kind=second", "kind=first") + "\n")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from lcslie.algebra import LieAlgebra
 from lcslie.notation import (
     NotationError,
     StructureEquationSource,
@@ -26,6 +27,20 @@ def test_sign_convention():
     assert g.basis_bracket(2, 3) == frac_vec(0, 0, 0, 0)
     assert g.structure_constant(1, 2, 2) == 1
     assert g.structure_constant(2, 1, 2) == -1
+
+
+def test_bracket_table_is_sparse():
+    # the parser stores {k: c^k_ij} with 1-based k and no zeros
+    g = parse_structure_equations("(0,-12,13,0)")
+    assert g.brackets == {(1, 2): {2: 1}, (1, 3): {3: -1}}
+    # dense coordinate lists and {k: c} dicts build the same table
+    dense = LieAlgebra(4, {(1, 2): [0, 1, 0, 0], (1, 3): [0, 0, -1, 0], (2, 3): [0] * 4})
+    assert dense.brackets == g.brackets
+    assert LieAlgebra(4, {(1, 2): {2: 1, 4: 0}, (1, 3): {3: -1}}) == g
+    with pytest.raises(ValueError, match="out of range"):
+        LieAlgebra(4, {(1, 2): {5: 1}})
+    with pytest.raises(ValueError, match="length 3"):
+        LieAlgebra(4, {(1, 2): [0, 1, 0]})
 
 
 def test_parameters_bound_at_parse_time():

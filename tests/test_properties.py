@@ -12,12 +12,15 @@ from math import comb
 from hypothesis import given, settings, strategies as st
 
 from lcslie import linalg
-from lcslie.algebra import LieAlgebra
+from lcslie.algebra import LieAlgebra, center, change_basis
 from lcslie.exterior import (
     KForm,
+    adjoint,
     ce_differential,
+    check_jacobi,
     differential_matrix,
     form_basis,
+    is_unimodular,
     one_form,
     wedge,
 )
@@ -140,3 +143,86 @@ def test_twisted_euler_characteristic_vanishes(data):
     report = cohomology(g, theta)
     assert sum((-1) ** k * b for k, b in enumerate(report.betti)) == 0
     assert sum((-1) ** k * b for k, b in enumerate(report.twisted_betti)) == 0
+
+
+@st.composite
+def conjugated(draw):
+    """An almost abelian algebra in the basis of a unit lower-triangular P.
+
+    The table of the result is dense, unlike the generator's [e_i, e_n].
+    """
+    g, _theta, _action = draw(almost_abelian())
+    n = g.dim
+    below = draw(st.lists(entries, min_size=n * n, max_size=n * n))
+    p = [[1 if i == j else (below[i * n + j] if i > j else 0) for j in range(n)] for i in range(n)]
+    return change_basis(g, p)
+
+
+def vectors(n, count):
+    return st.lists(
+        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                 min_size=n, max_size=n),
+        min_size=count, max_size=count,
+    )
+
+
+@SETTINGS
+@given(conjugated(), st.data())
+def test_bracket_is_the_bilinear_expansion(g, data):
+    n = g.dim
+    x, y = data.draw(vectors(n, 2))
+    assert check_jacobi(g) == (True, None)
+    expansion = [Fraction(0)] * n
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for k, c in enumerate(g.basis_bracket(i, j)):
+                expansion[k] += x[i - 1] * y[j - 1] * c
+    assert g.bracket(x, y) == expansion
+    assert g.bracket(y, x) == [-c for c in expansion]
+    assert not any(g.bracket(x, x))
+
+
+@SETTINGS
+@given(conjugated())
+def test_unimodularity_is_the_trace_of_the_dense_adjoint(g):
+    traces = [linalg.trace(adjoint(g, g.basis_vector(i))) for i in range(1, g.dim + 1)]
+    assert g.ad_traces() == traces
+    assert is_unimodular(g) == all(t == 0 for t in traces)
+
+
+@SETTINGS
+@given(conjugated())
+def test_center_is_the_kernel_of_every_ad(g):
+    """Against the n^3 system [x, e_j]_k = 0 written with dense brackets."""
+    n = g.dim
+    rows = []
+    for j in range(1, n + 1):
+        images = [g.bracket(g.basis_vector(i), g.basis_vector(j)) for i in range(1, n + 1)]
+        rows.extend([image[k] for image in images] for k in range(n))
+    assert center(g) == linalg.nullspace(rows)
+
+
+@SETTINGS
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(st.integers(min_value=0, max_value=n).flatmap(lambda m: vectors(n, m)),
+                        vectors(n, 1))))
+def test_span_coordinates_agree_with_solve(data):
+    """Span against the dense solve, on the probe and every unit vector; a
+    vector is off the span exactly when adding it raises the rank."""
+    basis, (probe,) = data
+    n = len(probe)
+    span = linalg.Span(basis)
+    assert span.rank == linalg.rank(linalg.sparse_rows(basis))
+    if span.rank != len(basis):
+        return
+    columns = linalg.transpose(basis) if basis else [[] for _ in range(n)]
+    unit_probes = [[Fraction(int(i == k)) for i in range(n)] for k in range(n)]
+    for x in [probe] + unit_probes:
+        expected = linalg.solve(columns, x)
+        assert span.coordinates(x) == expected
+        on_span = linalg.rank(linalg.sparse_rows(basis + [x])) == len(basis)
+        assert (expected is not None) == on_span
+    coefficients = probe[: len(basis)]  # an independent set has at most n vectors
+    combination = [sum((c * v[i] for c, v in zip(coefficients, basis)), Fraction(0))
+                   for i in range(n)]
+    assert span.coordinates(combination) == coefficients
