@@ -279,9 +279,8 @@ def check_decompose_preconditions(structure, u_basis):
         for b in range(a + 1, len(u_basis)):
             if any(g.bracket(u_basis[a], u_basis[b])):
                 raise PreconditionError("ideal is not abelian", (a + 1, b + 1))
-    restricted = _omega_on(structure, u_basis, u_basis)
-    if linalg.det(restricted) == 0:
-        kernel = linalg.nullspace(restricted)
+    kernel = linalg.nullspace(_omega_on(structure, u_basis, u_basis))
+    if kernel:
         raise PreconditionError("omega degenerates on the ideal", kernel[0])
     for u in u_basis:
         if theta.evaluate(u) != 0:

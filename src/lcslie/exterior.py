@@ -4,18 +4,15 @@ K-forms carry exact rational coefficients indexed by strictly increasing
 tuples of basis indices.  The Chevalley-Eilenberg differential follows
 the convention that d(alpha)(X, Y) = -alpha([X, Y]) on 1-forms, extended
 to higher degree as an antiderivation, so the structure-equation tuples
-are literally the expansions of the d(e^k).
+are literally the expansions of the d(e^k).  One term expansion of
+d(e^K) serves both ce_differential and differential_matrix.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .algebra import LieAlgebra, MAX_DIM
-
-# An endomorphism of the underlying vector space: an n x n matrix of
-# Fractions, rows/columns in the fixed basis.
-Endomorphism = list
+from .algebra import MAX_DIM
 
 
 def _perm_sign(seq):
@@ -178,38 +175,55 @@ def wedge(a, b):
     return KForm(a.dim, degree, coeffs)
 
 
-def _d_basis_one_form(g, k):
-    """d(e^k) = - sum_{i<j} c^k_{ij} e^i ^ e^j, from the brackets."""
-    coeffs = {}
+def _expansion(g, theta=None):
+    """key -> the terms (key', x) of d_theta(e^key) = sum x e^key'; keys may repeat.
+
+    d(e^m) = -sum_{i<j} c^m_ij e^ij is read off the brackets once.  With
+    K = key = (k_1 < ... < k_p), the antiderivation rule puts
+    e^{k_1..k_{a-1}} ^ d(e^{k_a}) ^ e^{k_{a+1}..k_p} in d(e^K); in the term
+    for e^ij, with R = K minus k_a, moving e^i and e^j into place from
+    position a costs (-1)^(#R<i + #R<j), so with the rule's (-1)^(a-1) the
+    sign is (-1)^(a + #R<i + #R<j) for 0-based a.  theta, when given,
+    subtracts theta ^ e^K, which is (-1)^(#K<l) theta_l on K plus l.
+    """
+    d_table = {m: [] for m in range(1, g.dim + 1)}
     for (i, j), terms in g.brackets.items():
-        if k in terms:
-            coeffs[(i, j)] = -terms[k]
-    return KForm(g.dim, 2, coeffs)
+        for m, x in terms.items():
+            d_table[m].append((i, j, -x))
+    twist = () if theta is None else theta.coeffs.items()
+
+    def expand(key):
+        for a, m in enumerate(key):
+            rest = key[:a] + key[a + 1 :]
+            for i, j, x in d_table[m]:
+                if i in rest or j in rest:
+                    continue
+                below = sum(1 for r in rest if r < i) + sum(1 for r in rest if r < j)
+                yield tuple(sorted(rest + (i, j))), x if (a + below) % 2 == 0 else -x
+        for (l,), t in twist:
+            if l in key:
+                continue
+            below = sum(1 for r in key if r < l)
+            yield tuple(sorted(key + (l,))), -t if below % 2 == 0 else t
+
+    return expand
 
 
-def ce_differential(g, a):
-    """Chevalley-Eilenberg differential of a k-form on g.
+def ce_differential(g, a, theta=None):
+    """Chevalley-Eilenberg differential d(a), or d_theta(a) = d(a) - theta ^ a.
 
-    Acts on wedge monomials by the antiderivation rule
-    d(e^{i1} ^ ... ^ e^{ik}) = sum_a (-1)^(a-1)
-        e^{i1} ^ ... ^ d(e^{ia}) ^ ... ^ e^{ik}.
+    Expands only the keys of a, with the terms differential_matrix puts
+    in their columns.  d_theta squares to zero only for closed theta;
+    checking that is the caller's part.
     """
     if a.dim != g.dim:
         raise ValueError("form does not live on this algebra")
-    result = zero_form(g.dim, a.degree + 1)
+    expand = _expansion(g, theta)
+    coeffs = {}
     for key, value in a.coeffs.items():
-        for pos, idx in enumerate(key):
-            dpart = _d_basis_one_form(g, idx)
-            if dpart.is_zero():
-                continue
-            prefix = basis_form(g.dim, key[:pos]) if pos else KForm(g.dim, 0, {(): 1})
-            suffix_key = key[pos + 1 :]
-            term = wedge(prefix, dpart)
-            if suffix_key:
-                term = wedge(term, basis_form(g.dim, suffix_key))
-            sign = Fraction(-1) ** pos
-            result = result + (sign * value) * term
-    return result
+        for target, x in expand(key):
+            coeffs[target] = coeffs.get(target, 0) + value * x
+    return KForm(g.dim, a.degree + 1, coeffs)
 
 
 def differential_matrix(g, degree, theta=None):
@@ -219,42 +233,16 @@ def differential_matrix(g, degree, theta=None):
     form_basis(dim, degree + 1), column c the c-th key of
     form_basis(dim, degree) (colexicographic, so there are C(dim, degree)
     columns); empty rows are kept.  theta, when given, twists the
-    differential to d - theta ^ (.).
-
-    Assembled by index arithmetic.  With d(e^m) = -sum_{i<j} c^m_ij e^ij
-    and the key K = (k_1 < ... < k_p), the antiderivation rule puts
-    e^{k_1..k_{a-1}} ^ d(e^{k_a}) ^ e^{k_{a+1}..k_p} in the column of K; in
-    the term for e^ij, with R = K minus k_a, moving e^i and e^j into place
-    from position a costs (-1)^(#R<i + #R<j), so with the rule's (-1)^(a-1)
-    the sign is (-1)^(a + #R<i + #R<j) for 0-based a.  theta ^ e^K puts
-    (-1)^(#K<l) theta_l on K plus l.
+    differential to d - theta ^ (.).  Column c is ce_differential of the
+    c-th basis form, assembled from the same term expansion.
     """
-    n = g.dim
-    d_basis = {m: [] for m in range(1, n + 1)}
-    for (i, j), terms in g.brackets.items():
-        for m, x in terms.items():
-            d_basis[m].append((i, j, -x))
-    twist = [] if theta is None else theta.coeffs.items()
-    cod_index = {key: r for r, key in enumerate(form_basis(n, degree + 1))}
+    expand = _expansion(g, theta)
+    cod_index = {key: r for r, key in enumerate(form_basis(g.dim, degree + 1))}
     rows = [{} for _ in cod_index]
-
-    def add(key, col, value):
-        row = rows[cod_index[tuple(sorted(key))]]
-        row[col] = row.get(col, 0) + value
-
-    for col, key in enumerate(form_basis(n, degree)):
-        for a, m in enumerate(key):
-            rest = key[:a] + key[a + 1 :]
-            for i, j, x in d_basis[m]:
-                if i in rest or j in rest:
-                    continue
-                below = sum(1 for r in rest if r < i) + sum(1 for r in rest if r < j)
-                add(rest + (i, j), col, x if (a + below) % 2 == 0 else -x)
-        for (l,), t in twist:
-            if l in key:
-                continue
-            below = sum(1 for r in key if r < l)
-            add(key + (l,), col, -t if below % 2 == 0 else t)
+    for col, key in enumerate(form_basis(g.dim, degree)):
+        for target, x in expand(key):
+            row = rows[cod_index[target]]
+            row[col] = row.get(col, 0) + x
     return [{c: x for c, x in row.items() if x} for row in rows]
 
 

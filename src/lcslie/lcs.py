@@ -18,6 +18,7 @@ from itertools import combinations
 from . import linalg
 from .exterior import (
     KForm,
+    basis_form,
     ce_differential,
     differential_matrix,
     form_basis,
@@ -141,11 +142,10 @@ def check_lcs(g, omega, theta):
     dtheta = ce_differential(g, theta)
     if not dtheta.is_zero():
         return CheckResult(False, "theta is not closed", dtheta)
-    gram = gram_matrix(omega)
-    if linalg.det(gram) == 0:
-        kernel = linalg.nullspace(gram)
+    kernel = linalg.nullspace(gram_matrix(omega))
+    if kernel:
         return CheckResult(False, "omega is degenerate", kernel[0])
-    residual = ce_differential(g, omega) - wedge(theta, omega)
+    residual = ce_differential(g, omega, theta)
     if not residual.is_zero():
         return CheckResult(False, "d(omega) != theta ^ omega", residual)
     return CheckResult(True)
@@ -203,15 +203,12 @@ def recover_lee_form(g, omega):
         raise ValueError("omega is degenerate; the Lee form is not determined")
     n = g.dim
     three_basis = form_basis(n, 3)
-    cols = []
-    for i in range(1, n + 1):
-        ei = KForm(n, 1, {(i,): Fraction(1)})
-        cols.append(form_to_vector(wedge(ei, omega), three_basis))
-    matrix = linalg.transpose(cols) if three_basis else []
-    if not matrix or linalg.nullspace(matrix):
+    span = linalg.Span(
+        [form_to_vector(wedge(basis_form(n, (i,)), omega), three_basis) for i in range(1, n + 1)]
+    )
+    if span.rank != n:
         raise ValueError("theta is not unique; omega does not determine a Lee form")
-    rhs = form_to_vector(ce_differential(g, omega), three_basis)
-    solution = linalg.solve(matrix, rhs)
+    solution = span.coordinates(form_to_vector(ce_differential(g, omega), three_basis))
     if solution is None:
         return None
     theta = vector_to_form(n, 1, solution)

@@ -10,15 +10,13 @@ it.  A subspace that is queried many times (an ideal, an orthogonal
 complement, a new basis) is a Span: its spanning vectors are reduced
 once, and each later query, "the coordinates of x, or None when x is off
 the span", costs one pass over the reduced rows.  The remaining small
-n x n systems (Gram matrices, automorphism algebras, the Lee form) are
-dense lists of rows, solved through a reduced row echelon form.
+systems (Gram matrices, automorphism algebras, the Lee form) are dense
+lists of rows, and their kernels, solutions and inverses are read off
+the reduced rows of a Span as well.
 """
 
 from fractions import Fraction
 from math import lcm
-
-Matrix = list  # list of rows, each a list of Fraction
-Vector = list
 
 
 def zeros(rows, cols):
@@ -178,33 +176,38 @@ class Span:
     The vectors are eliminated as sparse rows, Gauss-Jordan, and each
     reduced row remembers the combination of the vectors it equals.  rank
     is the dimension of the span; a vector that depends on the ones
-    before it adds no row.
+    before it adds no row.  A row's pivot is its leftmost entry after
+    reduction, and clearing a later pivot column from it adds entries
+    only right of that column, so no row ever holds an entry left of its
+    pivot: rows, {pivot column: reduced row}, is the reduced row echelon
+    form of the vectors.
     """
 
     def __init__(self, vectors):
         self._size = len(vectors)
-        pivots = {}  # pivot column -> (reduced row, {vector index: coefficient})
+        self.rows = {}
+        self._combinations = {}  # pivot column -> {vector index: coefficient}
         for s, v in enumerate(vectors):
             row = {j: Fraction(x) for j, x in enumerate(v) if x}
             combination = {s: Fraction(1)}
-            for hit in [j for j in row if j in pivots]:
+            for hit in [j for j in row if j in self.rows]:
                 c = row[hit]
-                _subtract(row, c, pivots[hit][0])
-                _subtract(combination, c, pivots[hit][1])
+                _subtract(row, c, self.rows[hit])
+                _subtract(combination, c, self._combinations[hit])
             if not row:
                 continue
             col = min(row)
             inv_p = 1 / row[col]
             row = {j: x * inv_p for j, x in row.items()}
             combination = {t: x * inv_p for t, x in combination.items()}
-            for other_row, other_combination in pivots.values():
+            for other, other_row in self.rows.items():
                 c = other_row.get(col)
                 if c:
                     _subtract(other_row, c, row)
-                    _subtract(other_combination, c, combination)
-            pivots[col] = (row, combination)
-        self._pivots = pivots
-        self.rank = len(pivots)
+                    _subtract(self._combinations[other], c, combination)
+            self.rows[col] = row
+            self._combinations[col] = combination
+        self.rank = len(self.rows)
 
     def coordinates(self, x):
         """Coefficients c with x = sum_s c[s] vectors[s], or None when x is off the span.
@@ -214,11 +217,10 @@ class Span:
         """
         row = {j: v for j, v in enumerate(x) if v}
         coords = [Fraction(0)] * self._size
-        for hit in [j for j in row if j in self._pivots]:
+        for hit in [j for j in row if j in self.rows]:
             c = row[hit]
-            pivot_row, combination = self._pivots[hit]
-            _subtract(row, c, pivot_row)
-            for s, t in combination.items():
+            _subtract(row, c, self.rows[hit])
+            for s, t in self._combinations[hit].items():
                 coords[s] += c * t
         return None if row else coords
 
@@ -255,63 +257,30 @@ def rank_mod_prime(rows):
     return len(pivots)
 
 
-def rref(a):
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    m = [list(row) for row in a]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv_p = 1 / Fraction(m[r][col])
-        m[r] = [x * inv_p for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col]:
-                c = m[i][col]
-                m[i] = [x - c * y for x, y in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
 def nullspace(a):
-    """Basis of the right kernel of a (ncols must be readable from a[0])."""
-    nrows = len(a)
-    if nrows == 0:
+    """Basis of the right kernel of a (ncols must be readable from a[0]).
+
+    One vector per non-pivot column f of the reduced rows, in increasing
+    f: 1 at f, and minus the reduced row's entry at f on each pivot column.
+    """
+    if not a:
         raise ValueError("cannot infer column count of an empty matrix")
     ncols = len(a[0])
-    m, pivots = rref(a)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -m[i][free]
-        basis.append(v)
-    return basis
+    rows = Span(a).rows
+    return [
+        [-rows[j].get(f, Fraction(0)) if j in rows else Fraction(int(j == f)) for j in range(ncols)]
+        for f in range(ncols)
+        if f not in rows
+    ]
 
 
 def solve(a, b):
-    """One solution x of a x = b, or None when inconsistent."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    aug = [list(row) + [bv] for row, bv in zip(a, b)]
-    m, pivots = rref(aug)
-    if ncols in pivots:
+    """The solution of a x = b supported on the pivot columns, or None when inconsistent."""
+    ncols = len(a[0]) if a else 0
+    rows = Span([list(row) + [bv] for row, bv in zip(a, b)]).rows
+    if ncols in rows:
         return None
-    x = [Fraction(0)] * ncols
-    for i, p in enumerate(pivots):
-        x[p] = m[i][-1]
-    return x
+    return [rows[j].get(ncols, Fraction(0)) if j in rows else Fraction(0) for j in range(ncols)]
 
 
 def det(a):
@@ -335,14 +304,9 @@ def det(a):
 
 
 def inv(a):
+    """Inverse of a square matrix: row j holds the coordinates of e_j in the rows of a."""
+    span = Span(a)
     n = len(a)
-    aug = [list(row) + list(e) for row, e in zip(a, identity(n))]
-    m, pivots = rref(aug)
-    if pivots != list(range(n)):
+    if span.rank != n:
         raise ValueError("matrix is singular")
-    return [row[n:] for row in m]
-
-
-def in_span(vectors, v):
-    """Exact membership of v in the span of the given vectors."""
-    return Span(vectors).coordinates(v) is not None
+    return [span.coordinates(e) for e in identity(n)]

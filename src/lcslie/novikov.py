@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import comb
 
 from . import linalg
-from .exterior import ce_differential, differential_matrix, form_to_vector, wedge
+from .exterior import ce_differential, differential_matrix, form_to_vector
 
 
 def _require_closed(g, theta):
@@ -27,7 +27,7 @@ def _require_closed(g, theta):
 def twisted_differential(g, theta, a):
     """d_theta(a) = d(a) - theta ^ a; requires d(theta) = 0."""
     _require_closed(g, theta)
-    return ce_differential(g, a) - wedge(theta, a)
+    return ce_differential(g, a, theta)
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,7 @@ def is_exact_class(g, theta, a):
     produce an explicit primitive.
     """
     _require_closed(g, theta)
-    da = twisted_differential(g, theta, a)
-    if not da.is_zero():
+    if not ce_differential(g, a, theta).is_zero():
         raise ValueError("a is not d_theta-closed, so it has no class")
     if a.degree == 0:
         return a.is_zero()

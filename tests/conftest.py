@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from lcslie import corpus
+from lcslie.exterior import KForm, basis_form, wedge, zero_form
 
 
 @pytest.fixture(scope="session")
@@ -54,3 +55,27 @@ def dense():
         return [[row.get(j, Fraction(0)) for j in range(ncols)] for row in rows]
 
     return to_dense
+
+
+def _wedge_differential(g, a):
+    """d(a) by the antiderivation rule on wedge monomials,
+    d(e^{i1} ^ ... ^ e^{ik}) = sum_a (-1)^(a-1) e^{i1} ^ ... ^ d(e^{ia}) ^ ... ^ e^{ik},
+    with d(e^k) = -sum_{i<j} c^k_ij e^i ^ e^j read off the brackets and the
+    products taken by wedge; independent of the library's term expansion.
+    """
+    result = zero_form(g.dim, a.degree + 1)
+    for key, value in a.coeffs.items():
+        for pos, idx in enumerate(key):
+            d_idx = {ij: -terms[idx] for ij, terms in g.brackets.items() if idx in terms}
+            dpart = KForm(g.dim, 2, d_idx)
+            prefix = basis_form(g.dim, key[:pos]) if pos else KForm(g.dim, 0, {(): 1})
+            term = wedge(prefix, dpart)
+            if key[pos + 1 :]:
+                term = wedge(term, basis_form(g.dim, key[pos + 1 :]))
+            result = result + (Fraction(-1) ** pos * value) * term
+    return result
+
+
+@pytest.fixture(scope="session")
+def wedge_differential():
+    return _wedge_differential

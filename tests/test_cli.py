@@ -263,6 +263,14 @@ def test_regress_json_matches_the_recorded_snapshot(capsys):
     assert out == snapshot.read_text(encoding="utf-8")
 
 
+def test_check_json_matches_the_recorded_snapshot(capsys):
+    """Byte for byte, including the g_omega bases that nullspace yields."""
+    snapshot = Path(__file__).parent / "data" / "check_packaged.json"
+    code, out, _ = run(capsys, "check", str(default_corpus_path()), "--json")
+    assert code == 0
+    assert out == snapshot.read_text(encoding="utf-8")
+
+
 def test_regress_flags_a_corrupted_expectation(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text(R2P_LINE.replace("kind=second", "kind=first") + "\n")

@@ -1,5 +1,8 @@
 """Corpus record format: round trips and malformed-line diagnostics."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from lcslie.corpus import (
@@ -106,3 +109,17 @@ def test_default_corpus_path_env_override(monkeypatch, tmp_path):
     assert default_corpus_path() == str(override)
     monkeypatch.delenv(ENV_CORPUS)
     assert default_corpus_path().endswith("data/corpus.txt")
+
+
+def test_build_corpus_reproduces_the_packaged_corpus():
+    """scripts/build_corpus.py, run without writing, yields corpus.txt line for line.
+
+    Its process() recomputes and asserts every verdict of every record,
+    the Lee form and the exactness of omega included.
+    """
+    script = Path(__file__).resolve().parent.parent / "scripts" / "build_corpus.py"
+    spec = importlib.util.spec_from_file_location("build_corpus", script)
+    build_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(build_corpus)
+    lines = [format_entry(build_corpus.process(row)[0]) for row in build_corpus.ALL]
+    assert lines == build_corpus.OUT.read_text(encoding="utf-8").splitlines()

@@ -175,7 +175,7 @@ def test_differential_squares_to_zero_all_degrees(shipped, dense):
             )
 
 
-def test_differential_matrix_matches_columnwise(dense):
+def test_differential_matrix_matches_columnwise(dense, wedge_differential):
     g = parse_structure_equations("(0,-12,13,0)")
     theta = one_form(4, [1, 0, 0, 0])
     for degree in range(4):
@@ -187,9 +187,21 @@ def test_differential_matrix_matches_columnwise(dense):
         assert len(mat) == len(cod) and len(mat[0]) == len(dom)
         for col, key in enumerate(dom):
             a = basis_form(4, key)
-            expected = ce_differential(g, a) - wedge(theta, a)
+            expected = wedge_differential(g, a) - wedge(theta, a)
             got = vector_to_form(4, degree + 1, [row[col] for row in mat])
             assert got == expected
+
+
+def test_ce_differential_matches_the_wedge_antiderivation(shipped, wedge_differential):
+    rng = random.Random(29)
+    for entry in shipped:
+        g = entry.algebra()
+        theta = entry.theta_form() or zero_form(g.dim, 1)
+        for degree in range(min(g.dim, 4) + 1):
+            a = random_form(rng, g.dim, degree)
+            assert ce_differential(g, a) == wedge_differential(g, a), entry.name
+            expected = wedge_differential(g, a) - wedge(theta, a)
+            assert ce_differential(g, a, theta) == expected, entry.name
 
 
 def test_pullback_composes_with_the_basis_change():

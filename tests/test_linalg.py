@@ -71,7 +71,7 @@ def test_sparse_solve_agrees_with_dense_solve(dense, data, b):
         assert linalg.mat_vec(matrix, x) == b
 
 
-def test_det_and_rref_of_int_matrices_are_exact():
+def test_det_of_int_matrices_is_exact():
     rng = random.Random(7)
     for _ in range(30):
         n = rng.randint(1, 4)
@@ -79,9 +79,58 @@ def test_det_and_rref_of_int_matrices_are_exact():
         d = linalg.det(a)
         assert isinstance(d, Fraction) and sympy.Rational(d) == sympy.Matrix(a).det()
     assert linalg.det([[3, 1], [1, 1]]) == Fraction(2)
-    m, pivots = linalg.rref([[2, 1], [1, 1]])
-    assert pivots == [0, 1]
-    assert all(isinstance(x, Fraction) for row in m for x in row)
+
+
+def _low_rank_matrix(rng, rows, cols, entry):
+    """A rows x cols product of random factors through a space of random dimension."""
+    inner = rng.randint(1, 5)
+    left = [[entry() for _ in range(inner)] for _ in range(rows)]
+    right = [[entry() for _ in range(cols)] for _ in range(inner)]
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+def test_small_systems_match_sympy():
+    """nullspace, solve and inv against sympy on rational and int matrices up to 5 x 5.
+
+    solve must return the solution supported on the pivot columns that
+    sympy's rref of [a | b] gives, and None exactly when [a | b] has a
+    pivot in the last column.
+    """
+    rng = random.Random(2718)
+    entries = (
+        lambda: rng.randint(-3, 3),
+        lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+    )
+    for trial in range(300):
+        entry = entries[trial % 2]
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        a = _low_rank_matrix(rng, rows, cols, entry) if trial % 3 else [
+            [entry() for _ in range(cols)] for _ in range(rows)
+        ]
+        s = sympy.Matrix(a)
+        got = [[sympy.Rational(x) for x in v] for v in linalg.nullspace(a)]
+        assert got == [list(v) for v in s.nullspace()], a
+
+        b = [entry() for _ in range(rows)]
+        reduced, pivots = s.row_join(sympy.Matrix(b)).rref()
+        if cols in pivots:
+            expected = None
+        else:
+            expected = [sympy.Integer(0)] * cols
+            for r, p in enumerate(pivots):
+                expected[p] = reduced[r, cols]
+        x = linalg.solve(a, b)
+        assert (x if x is None else [sympy.Rational(v) for v in x]) == expected, (a, b)
+
+        square = [row[:rows] + [entry() for _ in range(rows - cols)] for row in a]
+        t = sympy.Matrix(square)
+        if t.det() == 0:
+            with pytest.raises(ValueError, match="singular"):
+                linalg.inv(square)
+        else:
+            assert [[sympy.Rational(x) for x in row] for row in linalg.inv(square)] == (
+                t.inv().tolist()
+            ), square
 
 
 def test_rank_of_empty_and_zero():
@@ -107,19 +156,6 @@ def test_nullspace_vectors_are_in_the_kernel():
 def test_nullspace_rejects_empty_matrix():
     with pytest.raises(ValueError):
         linalg.nullspace([])
-
-
-def test_rref_is_idempotent_with_sorted_pivots():
-    rng = random.Random(5)
-    for _ in range(30):
-        a = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        m, pivots = linalg.rref(a)
-        assert pivots == sorted(pivots)
-        again, pivots2 = linalg.rref(m)
-        assert again == m and pivots2 == pivots
-        for r, p in enumerate(pivots):
-            assert m[r][p] == 1
-            assert all(m[i][p] == 0 for i in range(len(m)) if i != r)
 
 
 def test_solve_consistent_and_inconsistent():
@@ -161,10 +197,10 @@ def test_det_alternating_in_rows():
 def test_in_span():
     v1 = [Fraction(1), Fraction(0), Fraction(1)]
     v2 = [Fraction(0), Fraction(1), Fraction(1)]
-    assert linalg.in_span([v1, v2], [Fraction(2), Fraction(3), Fraction(5)])
-    assert not linalg.in_span([v1, v2], [Fraction(0), Fraction(0), Fraction(1)])
-    assert linalg.in_span([], [Fraction(0), Fraction(0)])
-    assert not linalg.in_span([], [Fraction(1), Fraction(0)])
+    assert linalg.Span([v1, v2]).coordinates([Fraction(2), Fraction(3), Fraction(5)]) is not None
+    assert linalg.Span([v1, v2]).coordinates([Fraction(0), Fraction(0), Fraction(1)]) is None
+    assert linalg.Span([]).coordinates([Fraction(0), Fraction(0)]) is not None
+    assert linalg.Span([]).coordinates([Fraction(1), Fraction(0)]) is None
 
 
 def test_trace_and_arithmetic_helpers():
