@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Regenerate src/lcslie/data/corpus.txt.
 
-Every record's verdict fields are derived by hand first (wedge
-identities for the Lee form, trace conditions for the extension
-dimension, automorphism systems for the kind) and *asserted* against
-the library before anything is written; the script refuses to emit a
-corpus the library disagrees with.  Twisted Betti vectors for the two
+Each record's verdicts come from `lcslie.corpus.recompute`, so the
+packaged corpus is its fixed point.  The values derived by hand below
+(wedge identities for the Lee form, trace conditions for the extension
+dimension, automorphism systems for the kind) are *asserted* against
+them before anything is written; the script refuses to emit a corpus
+the library disagrees with.  Twisted Betti vectors for the two
 8-dimensional records are additionally cross-checked against an
 independent sympy implementation that evaluates the differential by
 the simplicial formula rather than as an antiderivation.
@@ -20,26 +21,24 @@ from pathlib import Path
 
 import sympy
 
-from lcslie import construct, lcs, novikov
-from lcslie.corpus import CorpusEntry, format_entry, save_corpus
-from lcslie.exterior import KForm, is_unimodular, one_form
-from lcslie.lcs import Kind
+from lcslie import novikov
+from lcslie.corpus import VERDICT_FIELDS, CorpusEntry, recompute, save_corpus
 from lcslie.notation import StructureEquationSource, parse_structure_equations
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "lcslie" / "data" / "corpus.txt"
 
 
 def entry(name, eq, params=None, omega=None, theta=None, group=None, note=None,
-          kind=None, unimodular=None, extn="auto", ideal="auto"):
+          kind=None, unimodular=None, extn=None, ideal=None):
     return dict(name=name, eq=eq, params=params or {}, omega=omega, theta=theta,
                 group=group, note=note, kind=kind, unimodular=unimodular,
                 extn=extn, ideal=ideal)
 
 
 # -- record definitions ------------------------------------------------------
-# omega is a {pair: coefficient} dict, theta a coefficient list.  kind and
-# unimodular are hand-derived expectations where stated; extn/ideal may be
-# "auto" (compute, then freeze) or an explicit expectation to assert.
+# omega is a {pair: coefficient} dict, theta a coefficient list.  kind,
+# unimodular, extn and ideal are hand-derived expectations where stated;
+# recompute fills in the rest.
 
 UNIMODULAR4 = [
     entry("rr3-1", "(0,-12,13,0)",
@@ -165,12 +164,12 @@ HIGHDIM = [
     entry("ext42", "(0,0,-13+24,-14-23,0,16,17,0)",
           omega={(1, 3): 1, (2, 4): F(-1, 2), (5, 6): 1, (7, 8): 1},
           theta=[1, 0, 0, 0, 0, 0, 0, 0],
-          kind="second", unimodular=True, extn=F(0), ideal="auto",
+          kind="second", unimodular=True, extn=F(0),
           group="highdim",
           note="4-dim algebra of r2p extended by a 4-dim representation"),
     entry("gprime", "(0,0,-13,-14,0,16,17,0)",
           theta=[1, 0, 0, 0, 0, 0, 0, 0],
-          unimodular=True, extn=F(0), ideal=None,
+          unimodular=True, extn=F(0),
           group="highdim",
           note="almost abelian; twisted Betti numbers drop at every degree"),
 ]
@@ -178,8 +177,7 @@ HIGHDIM = [
 MISC = [
     entry("abelian4", "(0,0,0,0)",
           omega={(1, 2): 1, (3, 4): 1}, theta=[0, 0, 0, 0],
-          kind="symplectic", unimodular=True, extn=None, ideal=None,
-          group="misc"),
+          kind="symplectic", unimodular=True, group="misc"),
     entry("heis4", "(0,0,-12,0)",
           omega={(1, 2): 1, (3, 4): 1}, theta=[0, 0, 0, -1],
           kind="first", unimodular=True, extn=F(0), ideal="none",
@@ -190,92 +188,25 @@ MISC = [
 ALL = UNIMODULAR4 + EXTENDABLE4 + HIGHDIM + MISC
 
 
-def build_forms(g, row):
-    omega = None
-    if row["omega"] is not None:
-        omega = KForm(g.dim, 2, {p: F(c) for p, c in row["omega"].items()})
-    theta = None
-    if row["theta"] is not None:
-        theta = one_form(g.dim, [F(c) for c in row["theta"]])
-    return omega, theta
-
-
-def coordinate_indices(vectors):
-    """Indices when every vector is a standard basis vector, else None."""
-    indices = []
-    for v in vectors:
-        nonzero = [i for i, c in enumerate(v, start=1) if c]
-        if len(nonzero) != 1 or v[nonzero[0] - 1] != 1:
-            return None
-        indices.append(nonzero[0])
-    return tuple(sorted(indices))
-
-
 def process(row):
-    src = StructureEquationSource(row["eq"], row["params"])
-    g = parse_structure_equations(src)
-    omega, theta = build_forms(g, row)
-
-    uni = is_unimodular(g)
-    if row["unimodular"] is not None:
-        assert uni == row["unimodular"], f"{row['name']}: unimodular {uni}"
-
-    kind = None
-    exact = None
-    structure = None
-    if omega is not None and theta is not None:
-        structure = lcs.LCSStructure(g, omega, theta)  # raises if not LCS
-        kind = str(structure.verdict.kind)
-        if row["kind"] is not None:
-            assert kind == row["kind"], f"{row['name']}: kind {kind}"
-        recovered = lcs.recover_lee_form(g, omega)
-        assert recovered == theta, f"{row['name']}: Lee form mismatch"
-        exact = structure.primitive is not None
-        assert exact == novikov.is_exact_class(g, theta, omega), \
-            f"{row['name']}: exactness routes disagree"
-
-    extn = row["extn"]
-    if theta is not None and not theta.is_zero():
-        value = construct.unimodular_extension_dim(g, theta)
-        if extn == "auto":
-            extn = value
-        else:
-            assert value == extn, f"{row['name']}: extn {value} != {extn}"
-    elif extn == "auto":
-        extn = None
-
-    ideal = row["ideal"]
-    if ideal == "auto":
-        ideal = None
-        if kind == "second":
-            found = construct.find_nondegenerate_abelian_ideal(structure)
-            ideal = "none" if found is None else coordinate_indices(found)
-    if isinstance(ideal, tuple):
-        u_basis = [g.basis_vector(i) for i in ideal]
-        construct.decompose(structure, u_basis)  # raises on failure
-        found = construct.find_nondegenerate_abelian_ideal(structure)
-        assert found == u_basis, f"{row['name']}: search found a different ideal"
-    elif ideal == "none":
-        assert construct.find_nondegenerate_abelian_ideal(structure) is None, \
-            f"{row['name']}: expected no coordinate ideal"
-
-    record = CorpusEntry(
+    """The corpus record of one row, its verdicts asserted against the row's."""
+    source = StructureEquationSource(row["eq"], row["params"])
+    dim = parse_structure_equations(source).dim
+    pairs = itertools.combinations(range(1, dim + 1), 2)
+    record = recompute(CorpusEntry(
         name=row["name"],
-        source=src,
-        dim=g.dim,
-        omega=tuple(omega.coeffs.get(p, F(0))
-                    for p in itertools.combinations(range(1, g.dim + 1), 2))
-        if omega is not None else None,
-        theta=tuple(theta.coeffs.get((i,), F(0)) for i in range(1, g.dim + 1))
-        if theta is not None else None,
-        kind=kind,
-        unimodular=uni,
-        extn=None if extn is None else ("none" if extn == "none" else extn),
-        ideal=ideal,
+        source=source,
+        dim=dim,
+        omega=None if row["omega"] is None else tuple(F(row["omega"].get(p, 0)) for p in pairs),
+        theta=None if row["theta"] is None else tuple(F(c) for c in row["theta"]),
         group=row["group"],
         note=row["note"],
-    )
-    return record, kind, exact, extn, ideal
+    ))
+    for field in VERDICT_FIELDS:
+        expected = row[field]
+        assert expected is None or getattr(record, field) == expected, \
+            f"{row['name']}: {field} {getattr(record, field)} != {expected}"
+    return record
 
 
 # -- independent twisted-cohomology oracle (sympy) ---------------------------
@@ -347,20 +278,20 @@ def sympy_betti(g, theta_coeffs):
 
 def main():
     records = []
-    print(f"{'name':<12}{'kind':<12}{'uni':<6}{'exact':<7}{'extn':<8}ideal")
+    print(f"{'name':<12}{'kind':<12}{'uni':<6}{'extn':<8}ideal")
     for row in ALL:
-        record, kind, exact, extn, ideal = process(row)
+        record = process(row)
         records.append(record)
-        print(f"{row['name']:<12}{str(kind):<12}{str(record.unimodular):<6}"
-              f"{str(exact):<7}{str(extn):<8}{ideal}")
+        print(f"{record.name:<12}{str(record.kind):<12}{str(record.unimodular):<6}"
+              f"{str(record.extn):<8}{record.ideal}")
 
     print("\ncross-checking twisted cohomology with sympy ...")
-    for name in ("gprime", "ext42"):
-        row = next(s for s in ALL if s["name"] == name)
-        g = parse_structure_equations(StructureEquationSource(row["eq"], row["params"]))
-        theta = one_form(g.dim, [F(c) for c in row["theta"]])
-        report = novikov.cohomology(g, theta)
-        oracle_plain, oracle_twisted = sympy_betti(g, row["theta"])
+    for record in records:
+        if record.name not in ("gprime", "ext42"):
+            continue
+        name, g = record.name, record.algebra()
+        report = novikov.cohomology(g, record.theta_form())
+        oracle_plain, oracle_twisted = sympy_betti(g, record.theta)
         print(f"{name}: library betti   {report.betti}")
         print(f"{name}: sympy oracle    {oracle_plain}")
         print(f"{name}: library twisted {report.twisted_betti}")

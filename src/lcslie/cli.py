@@ -27,7 +27,8 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 
-from . import construct, corpus, lattice, lcs, novikov
+from . import construct, corpus, lattice, novikov
+from .algebra import MAX_DIM
 from .corpus import CorpusEntry, CorpusError, parse_params, parse_rational_list
 from .exterior import KForm, is_unimodular, one_form
 from .lcs import Kind, LCSStructure
@@ -213,6 +214,8 @@ def _parse_rep_file(path, hdim):
         raise UsageError(f"{path}: vdim is not an integer") from exc
     if vdim <= 0 or vdim % 2:
         raise UsageError(f"{path}: vdim must be a positive even integer")
+    if vdim > MAX_DIM - hdim:
+        raise UsageError(f"{path}: vdim must be at most MAX_DIM - {hdim} = {MAX_DIM - hdim}")
 
     if "omega0" in fields:
         coeffs = parse_rational_list(fields.pop("omega0"), vdim * (vdim - 1) // 2, "omega0")
@@ -381,74 +384,19 @@ def cmd_lattice(args):
 
 
 def _regress_entry(entry):
-    """(name, failures, notes) for one record.
-
-    A step that raises ValueError or RuntimeError ends the record as a
-    failure naming the step, so that one bad record cannot abort the run.
-    """
-    failures = []
-    notes = []
-    step = "parse"
+    """(name, failures, notes): recompute the record, then compare each verdict it carries."""
     try:
-        g = entry.algebra()
-        if g.dim != entry.dim:
-            return entry.name, [f"declared dim {entry.dim} but tuple has arity {g.dim}"], notes
-
-        unimodular = is_unimodular(g)
-        if entry.unimodular is not None and unimodular != entry.unimodular:
-            failures.append(f"unimodular: expected {entry.unimodular}, computed {unimodular}")
-
-        omega = entry.omega_form()
-        theta = entry.theta_form()
-
-        structure = None
-        if omega is not None and theta is not None:
-            try:
-                structure = LCSStructure(g, omega, theta)
-            except ValueError as exc:
-                failures.append(f"check_lcs: {exc}")
-
-        if structure is not None:
-            step = "classify"
-            verdict = structure.verdict
-            if entry.kind is not None and str(verdict.kind) != entry.kind:
-                failures.append(f"kind: expected {entry.kind}, computed {verdict.kind}")
-            step = "recover_lee_form"
-            if lcs.recover_lee_form(g, omega) != theta:
-                failures.append("recover_lee_form does not reproduce the recorded theta")
-            step = "exactness"
-            exact = structure.primitive is not None
-            if exact != novikov.is_exact_class(g, theta, omega):
-                failures.append("exactness: primitive search and rank computation disagree")
-            if unimodular and exact != (verdict.kind is Kind.FIRST_KIND):
-                failures.append("exactness does not match the kind on a unimodular algebra")
-
-        if entry.extn is not None:
-            step = "extn"
-            if theta is None:
-                failures.append("extn recorded but no theta")
-            else:
-                value = construct.unimodular_extension_dim(g, theta)
-                expected = None if entry.extn == "none" else entry.extn
-                if value != expected:
-                    failures.append(f"extn: expected {entry.extn}, computed {value}")
-
-        if entry.ideal is not None and structure is not None and not failures:
-            if entry.ideal == "none":
-                step = "ideal search"
-                if construct.find_nondegenerate_abelian_ideal(structure) is not None:
-                    failures.append("expected the coordinate-ideal search to fail, but it found one")
-                else:
-                    notes.append("no decomposable coordinate ideal (as recorded)")
-            else:
-                step = f"decompose on ideal {entry.ideal}"
-                u_basis = [g.basis_vector(i) for i in entry.ideal]
-                construct.decompose(structure, u_basis)
-                step = "ideal search"
-                if construct.find_nondegenerate_abelian_ideal(structure) != u_basis:
-                    failures.append(f"ideal search did not return the recorded ideal {entry.ideal}")
-    except (ValueError, RuntimeError) as exc:
-        failures.append(f"{step}: {exc}")
+        computed = corpus.recompute(entry)
+    except corpus.RecomputeError as exc:  # fails this record, naming the step; the run goes on
+        return entry.name, [str(exc)], []
+    failures = [
+        f"{field}: expected {getattr(entry, field)}, computed {getattr(computed, field)}"
+        for field in corpus.VERDICT_FIELDS
+        if getattr(entry, field) not in (None, getattr(computed, field))
+    ]
+    notes = []
+    if entry.ideal == computed.ideal == "none":
+        notes.append("no decomposable coordinate ideal (as recorded)")
     return entry.name, failures, notes
 
 
@@ -539,19 +487,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, CorpusError, NotationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CorpusError, NotationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except VerificationFailure as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, RuntimeError) as exc:
+    except (VerificationFailure, ValueError, RuntimeError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
 

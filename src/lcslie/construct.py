@@ -344,25 +344,23 @@ def decompose(structure, u_basis):
     return base, rep
 
 
-def find_nondegenerate_abelian_ideal(structure, extra_candidates=()):
-    """First coordinate subspace (or supplied candidate) usable by decompose.
+def find_nondegenerate_abelian_ideal(structure):
+    """First coordinate subspace usable by decompose.
 
     Searches the even-dimensional coordinate subspaces in order of
-    dimension, then the extra candidates.  Returns the basis or None;
-    None means the search failed, not that no such ideal exists.
+    dimension, then of their index tuples.  Returns the basis or None;
+    None means no coordinate subspace qualifies, not that no such ideal
+    exists.
     """
     g = structure.algebra
     if structure.theta.is_zero():
         raise ValueError("theta = 0: the structure is symplectic, not twisted")
-    candidates = []
     for size in range(2, g.dim + 1, 2):
         for indices in combinations(range(1, g.dim + 1), size):
-            candidates.append([g.basis_vector(i) for i in indices])
-    candidates.extend([[Fraction(x) for x in u] for u in cand] for cand in extra_candidates)
-    for cand in candidates:
-        try:
-            check_decompose_preconditions(structure, cand)
-        except PreconditionError:
-            continue
-        return cand
+            cand = [g.basis_vector(i) for i in indices]
+            try:
+                check_decompose_preconditions(structure, cand)
+            except PreconditionError:
+                continue
+            return cand
     return None

@@ -21,17 +21,20 @@ skipped.  Keys:
   group   free grouping tag
   note    free text
 
-All expected verdicts are recomputed by `lcslie regress`.
+Every verdict comes from `recompute`: `lcslie regress` compares a
+record's verdicts with it, scripts/build_corpus.py writes what it
+returns, and the packaged corpus is its fixed point.
 """
 
 import os
 import shlex
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations
 
-from .exterior import KForm, one_form
+from . import construct, lcs, novikov
+from .exterior import KForm, is_unimodular, one_form
 from .notation import StructureEquationSource, parse_structure_equations
 
 ENV_CORPUS = "LCSLIE_CORPUS"
@@ -51,9 +54,15 @@ _KNOWN_KEYS = (
     "note",
 )
 
+VERDICT_FIELDS = ("unimodular", "kind", "extn", "ideal")
+
 
 class CorpusError(ValueError):
     """Malformed corpus record; message carries the line number."""
+
+
+class RecomputeError(ValueError):
+    """A step of recompute raised or a cross-check disagreed: "<step>: <reason>"."""
 
 
 @dataclass(frozen=True)
@@ -172,6 +181,8 @@ def parse_entry(line, lineno=0):
             raise CorpusError(f"line {lineno}: ideal indices out of range")
     if (kind is not None or ideal is not None) and (omega is None or theta is None):
         raise CorpusError(f"line {lineno}: kind/ideal need both omega and theta")
+    if extn is not None and not any(theta or ()):
+        raise CorpusError(f"line {lineno}: extn needs a nonzero theta")
 
     return CorpusEntry(
         name=fields["name"],
@@ -186,6 +197,56 @@ def parse_entry(line, lineno=0):
         group=fields.get("group"),
         note=fields.get("note"),
     )
+
+
+def recompute(entry):
+    """`entry` with every verdict that its eq, omega and theta determine.
+
+    unimodular always.  For a pair, the kind, cross-checked against the
+    Lee form recovered from omega, the two exactness routes and, on a
+    unimodular algebra, exact <=> first kind.  For theta != 0, extn, and
+    for a twisted pair the coordinate ideal that the search finds and the
+    decompose/extend round trip splits.  Undetermined verdicts are None.
+    A failed step or cross-check raises RecomputeError("<step>: <reason>").
+    """
+    verdicts = dict.fromkeys(VERDICT_FIELDS)
+    step = "parse"
+    try:
+        g = entry.algebra()
+        if g.dim != entry.dim:
+            raise ValueError(f"declared dim {entry.dim} but tuple has arity {g.dim}")
+        verdicts["unimodular"] = is_unimodular(g)
+        omega, theta = entry.omega_form(), entry.theta_form()
+        structure = None
+        if omega is not None and theta is not None:
+            step = "check_lcs"
+            structure = lcs.LCSStructure(g, omega, theta)
+            step = "classify"
+            kind = structure.verdict.kind
+            verdicts["kind"] = str(kind)
+            step = "recover_lee_form"
+            if lcs.recover_lee_form(g, omega) != theta:
+                raise RuntimeError("does not reproduce the recorded theta")
+            step = "exactness"
+            exact = structure.primitive is not None
+            if exact != novikov.is_exact_class(g, theta, omega):
+                raise RuntimeError("primitive search and rank computation disagree")
+            if verdicts["unimodular"] and exact != (kind is lcs.Kind.FIRST_KIND):
+                raise RuntimeError("does not match the kind on a unimodular algebra")
+        if theta is not None and not theta.is_zero():
+            step = "extn"
+            extn = construct.unimodular_extension_dim(g, theta)
+            verdicts["extn"] = "none" if extn is None else extn
+            if structure is not None:
+                step = "ideal search"
+                found = construct.find_nondegenerate_abelian_ideal(structure)
+                verdicts["ideal"] = "none" if found is None else tuple(u.index(1) + 1 for u in found)
+                if found is not None:
+                    step = f"decompose on ideal {verdicts['ideal']}"
+                    construct.decompose(structure, found)
+    except (ValueError, RuntimeError) as exc:
+        raise RecomputeError(f"{step}: {exc}") from exc
+    return replace(entry, **verdicts)
 
 
 def load_corpus(path):

@@ -190,6 +190,18 @@ def test_extend_rep_file_errors(capsys, tmp_path, small_corpus):
     assert code == 2 and "unknown keys" in err
 
 
+def test_extend_bounds_vdim_by_max_dim(capsys, tmp_path):
+    # rr3-1 is 4-dimensional, so a product stays within MAX_DIM = 14 only for vdim <= 10;
+    # pi(e1) = -Id/2 would pass the representation checks
+    minus_half = ";".join(",".join("-1/2" if i == j else "0" for j in range(16)) for i in range(16))
+    rep = tmp_path / "rep16.txt"
+    rep.write_text(f"vdim=16\nmat1={minus_half}\nmat2=0\nmat3=0\nmat4=0\n")
+    code, _, err = run(
+        capsys, "extend", default_corpus_path(), "--name", "rr3-1", "--rep-file", str(rep)
+    )
+    assert code == 2 and "vdim must be at most MAX_DIM - 4 = 10" in err
+
+
 def test_lattice_single_member(capsys):
     code, out, _ = run(capsys, "lattice", "--m", "3")
     assert code == 0
@@ -278,6 +290,26 @@ def test_regress_flags_a_corrupted_expectation(capsys, tmp_path):
     assert code == 1
     assert "r2p: FAIL" in out
     assert "kind: expected first" in out
+
+
+@pytest.mark.parametrize("recorded, corrupted, failure", [
+    ("unimodular=yes", "unimodular=no", "unimodular: expected False, computed True"),
+    ("kind=second", "kind=first", "kind: expected first, computed second"),
+    ("extn=0", "extn=1", "extn: expected 1, computed 0"),
+    ("ideal=3,4", "ideal=1,2", "ideal: expected (1, 2), computed (3, 4)"),
+    ("ideal=3,4", "ideal=none", "ideal: expected none, computed (3, 4)"),
+])
+def test_regress_names_each_corrupted_verdict(capsys, tmp_path, recorded, corrupted, failure):
+    packaged = next(
+        line for line in open(default_corpus_path(), encoding="utf-8")
+        if line.startswith("name=rr3-1 ")
+    )
+    path = tmp_path / "bad.txt"
+    path.write_text(packaged.replace(f" {recorded} ", f" {corrupted} "))
+    code, out, _ = run(capsys, "regress", str(path), "--json")
+    assert code == 1
+    (record,) = json.loads(out)["records"]
+    assert record["failures"] == [failure]
 
 
 def test_regress_empty_corpus_warns(capsys, tmp_path):

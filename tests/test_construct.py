@@ -228,12 +228,6 @@ def test_ideal_search(by_name):
 
     assert find_nondegenerate_abelian_ideal(structure_of(by_name["d4-a"])) is None
 
-    # extra candidates are tried after the coordinate subspaces
-    r2r2 = structure_of(by_name["r2r2"])
-    gr = r2r2.algebra
-    extra = [[gr.basis_vector(2), gr.basis_vector(4)]]
-    assert find_nondegenerate_abelian_ideal(r2r2, extra_candidates=extra) is None
-
 
 def test_ideal_search_requires_twisted_structure(by_name):
     with pytest.raises(ValueError, match="theta = 0"):

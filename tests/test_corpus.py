@@ -5,13 +5,16 @@ from pathlib import Path
 
 import pytest
 
+from lcslie import lcs, novikov
 from lcslie.corpus import (
     ENV_CORPUS,
     CorpusError,
+    RecomputeError,
     default_corpus_path,
     format_entry,
     load_corpus,
     parse_entry,
+    recompute,
     save_corpus,
 )
 
@@ -57,6 +60,8 @@ def test_optional_fields_default_to_none():
         ("name=x dim=4 eq='(0,0,0,0)' kind=third", "kind must be"),
         ("name=x dim=4 eq='(0,0,0,0)' unimodular=maybe", "unimodular must be yes or no"),
         ("name=x dim=4 eq='(0,0,0,0)' extn=two", "bad extn value"),
+        ("name=x dim=4 eq='(0,0,0,0)' extn=1", "extn needs a nonzero theta"),
+        ("name=x dim=4 eq='(0,0,0,0)' theta=0,0,0,0 extn=none", "extn needs a nonzero theta"),
         ("name=x dim=4 eq='(0,0,0,0)' ideal=3;4", "bad ideal indices"),
         ("name=x dim=4 eq='(0,0,0,0)' ideal=3,9", "ideal indices out of range"),
         ("name=x dim=4 eq='(0,0,0,0)' params=λ", "lacks '='"),
@@ -111,6 +116,24 @@ def test_default_corpus_path_env_override(monkeypatch, tmp_path):
     assert default_corpus_path().endswith("data/corpus.txt")
 
 
+def test_packaged_records_are_fixed_points_of_recompute(shipped):
+    for entry in shipped:
+        assert recompute(entry) == entry
+
+
+def test_recompute_names_the_step_that_fails(monkeypatch, by_name):
+    with pytest.raises(RecomputeError, match=r"^parse: declared dim 6 but tuple has arity 4$"):
+        recompute(parse_entry("name=x dim=6 eq='(0,-12,13,0)'"))
+    with pytest.raises(RecomputeError, match=r"^check_lcs: not an LCS structure: theta is not closed$"):
+        recompute(parse_entry("name=x dim=4 eq='(0,-12,13,0)' omega=1,0,0,0,0,1 theta=0,1,0,0"))
+    monkeypatch.setattr(novikov, "is_exact_class", lambda g, theta, omega: True)
+    with pytest.raises(RecomputeError, match=r"^exactness: primitive search and rank computation disagree$"):
+        recompute(by_name["rr3-1"])
+    monkeypatch.setattr(lcs, "recover_lee_form", lambda g, omega: None)
+    with pytest.raises(RecomputeError, match=r"^recover_lee_form: does not reproduce the recorded theta$"):
+        recompute(by_name["rr3-1"])
+
+
 def test_build_corpus_reproduces_the_packaged_corpus():
     """scripts/build_corpus.py, run without writing, yields corpus.txt line for line.
 
@@ -121,5 +144,5 @@ def test_build_corpus_reproduces_the_packaged_corpus():
     spec = importlib.util.spec_from_file_location("build_corpus", script)
     build_corpus = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(build_corpus)
-    lines = [format_entry(build_corpus.process(row)[0]) for row in build_corpus.ALL]
+    lines = [format_entry(build_corpus.process(row)) for row in build_corpus.ALL]
     assert lines == build_corpus.OUT.read_text(encoding="utf-8").splitlines()
