@@ -181,8 +181,9 @@ def parse_entry(line, lineno=0):
             raise CorpusError(f"line {lineno}: ideal indices out of range")
     if (kind is not None or ideal is not None) and (omega is None or theta is None):
         raise CorpusError(f"line {lineno}: kind/ideal need both omega and theta")
-    if extn is not None and not any(theta or ()):
-        raise CorpusError(f"line {lineno}: extn needs a nonzero theta")
+    for key, value in (("extn", extn), ("ideal", ideal)):
+        if value is not None and not any(theta or ()):
+            raise CorpusError(f"line {lineno}: {key} needs a nonzero theta")
 
     return CorpusEntry(
         name=fields["name"],

@@ -5,11 +5,14 @@ tuples of basis indices.  The Chevalley-Eilenberg differential follows
 the convention that d(alpha)(X, Y) = -alpha([X, Y]) on 1-forms, extended
 to higher degree as an antiderivation, so the structure-equation tuples
 are literally the expansions of the d(e^k).  One term expansion of
-d(e^K) serves both ce_differential and differential_matrix.
+d(e^K) serves both ce_differential and differential_matrix; the latter
+also assembles a single weight block (weight_block) of the complex.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import add, sub
 
 from . import linalg
 from .algebra import MAX_DIM
@@ -226,24 +229,98 @@ def ce_differential(g, a, theta=None):
     return KForm(g.dim, a.degree + 1, coeffs)
 
 
-def differential_matrix(g, degree, theta=None):
+def differential_matrix(g, degree, theta=None, keys=None):
     """Sparse matrix of d (or d_theta) from degree-forms to (degree+1)-forms.
 
-    Row r is a dict {column: entry} for the r-th key of
-    form_basis(dim, degree + 1), column c the c-th key of
-    form_basis(dim, degree) (colexicographic, so there are C(dim, degree)
-    columns); empty rows are kept.  theta, when given, twists the
-    differential to d - theta ^ (.).  Column c is ce_differential of the
-    c-th basis form, assembled from the same term expansion.
+    keys = (domain, codomain) lists the basis forms of the columns and of
+    the rows; by default they are form_basis(dim, degree) and
+    form_basis(dim, degree + 1) (colexicographic, so there are C(dim,
+    degree) columns).  Row r is a dict {column: entry}; empty rows are
+    kept.  theta, when given, twists the differential to d - theta ^ (.).
+    Column c is ce_differential of the c-th domain form, assembled from
+    the same term expansion.  A block such as weight_block's must be
+    mapped into itself, so a term outside the codomain raises.
     """
+    domain, codomain = keys or (form_basis(g.dim, degree), form_basis(g.dim, degree + 1))
     expand = _expansion(g, theta)
-    cod_index = {key: r for r, key in enumerate(form_basis(g.dim, degree + 1))}
+    cod_index = {key: r for r, key in enumerate(codomain)}
     rows = [{} for _ in cod_index]
-    for col, key in enumerate(form_basis(g.dim, degree)):
+    for col, key in enumerate(domain):
         for target, x in expand(key):
-            row = rows[cod_index[target]]
-            row[col] = row.get(col, 0) + x
+            r = cod_index.get(target)
+            if r is None:
+                raise RuntimeError(f"d_theta leaves its weight block in degree {degree}")
+            rows[r][col] = rows[r].get(col, 0) + x
     return [{c: x for c, x in row.items() if x} for row in rows]
+
+
+def diagonal_weights(g):
+    """{i: (a_1, ..., a_n)} for every e_i whose ad is diagonal in the basis.
+
+    [e_i, e_j] = a_j e_j for every j, read exactly off the bracket table;
+    a_i = 0, and a central e_i has all a_j = 0.
+    """
+    weights = {i: [Fraction(0)] * g.dim for i in range(1, g.dim + 1)}
+    for (i, j), terms in g.brackets.items():
+        # ad_{e_i} e_j = [e_i, e_j] and ad_{e_j} e_i = -[e_i, e_j]
+        for x, y, sign in ((i, j, 1), (j, i, -1)):
+            if x not in weights:
+                continue
+            if terms.keys() == {y}:
+                weights[x][y - 1] = sign * terms[y]
+            else:
+                del weights[x]
+    return {i: tuple(a) for i, a in weights.items()}
+
+
+def weight_block(g, theta=None):
+    """Keys of the block of d_theta that carries its cohomology, per degree 0..dim.
+
+    For each e_i of diagonal_weights, ad_{e_i} e_k = a_k e_k, so the Lie
+    derivative L_{e_i} multiplies e^K by its weight -sum_{k in K} a_k.  For
+    closed theta, Cartan's formula i_X d_theta + d_theta i_X = L_X -
+    theta(X) shows that these L_{e_i}, which commute with d_theta and with
+    each other, split the complex into joint eigenspaces, and that every
+    eigenspace on which some L_{e_i} - theta(e_i) is nonzero is acyclic
+    (Hochschild and Serre).  The block kept holds the keys of weight
+    theta(e_i) (0 for d) under every diagonal e_i; with none, it is the
+    whole complex.
+
+    The keys of each degree come in colexicographic order: one walk
+    decides the elements from n down to 1, leaving each out before putting
+    it in, which yields increasing bitmasks.  It enters a branch only when
+    the weight still needed, scaled to integers, is the sum of a subset of
+    the elements left, so every branch ends in a kept key.
+    """
+    n = g.dim
+    scaled, targets = [], []
+    for i, a in diagonal_weights(g).items():
+        t = theta.coefficient((i,)) if theta is not None else Fraction(0)
+        if t or any(a):  # a central e_i with theta(e_i) = 0 keeps every key
+            scale = lcm(t.denominator, *(x.denominator for x in a))
+            scaled.append([int(-x * scale) for x in a])
+            targets.append(int(t * scale))
+    weight = [tuple(row[k] for row in scaled) for k in range(n)]  # of e^(k+1)
+    reachable = [{(0,) * len(targets)}]  # sums over the subsets of the first m elements
+    for w in weight:
+        reachable.append(reachable[-1] | {tuple(map(add, s, w)) for s in reachable[-1]})
+    keys = [[] for _ in range(n + 1)]
+
+    def walk(m, need, chosen):
+        if m == 0:
+            keys[len(chosen)].append(chosen)
+            return
+        below = reachable[m - 1]
+        if need in below:
+            walk(m - 1, need, chosen)
+        rest = tuple(map(sub, need, weight[m - 1]))
+        if rest in below:
+            walk(m - 1, rest, (m,) + chosen)
+
+    targets = tuple(targets)
+    if targets in reachable[n]:
+        walk(n, targets, ())
+    return keys
 
 
 def pullback(a, columns):

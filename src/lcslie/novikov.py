@@ -2,19 +2,33 @@
 
 For a closed 1-form theta the operator d_theta(a) = d(a) - theta ^ a
 squares to zero, and its cohomology refines the untwisted Lie algebra
-cohomology (theta = 0).  The rank of each degree-wise sparse matrix comes
-from one exact elimination and is certified from both sides: the kernel
-vectors it yields are independent and multiply to zero (so the rank is
-at most r), and a separate elimination modulo a prime finds rank r too
-(so it is at least r).  Disagreement, or d_theta squaring to nonzero,
-raises.
+cohomology (theta = 0).
+
+Only one block of the complex is assembled and ranked.  If ad_X is
+diagonal in the basis, ad_X e_k = a_k e_k, the Lie derivative L_X scales
+e^K by -sum_{k in K} a_k, and Cartan's formula i_X d_theta + d_theta i_X
+= L_X - theta(X) makes every L_X-eigenspace of weight other than theta(X)
+acyclic (Hochschild and Serre, Ann. Math. 57, 1953).  So H_theta is the
+cohomology of the forms of weight theta(X) under every basis element X
+with diagonal ad (exterior.weight_block); central elements count, with
+all weights 0.  When no basis element has diagonal ad, or only central
+ones with theta(X) = 0, the block is the whole complex and the same code
+ranks all of it.  The dropped eigenspaces still enter the closed
+dimensions, through the ranks an acyclic complex of their sizes has.
+
+The rank of each degree-wise sparse matrix comes from one exact
+elimination and is certified from both sides: the kernel vectors it
+yields are independent and multiply to zero (so the rank is at most r),
+and a separate elimination modulo a prime finds rank r too (so it is at
+least r).  Disagreement, d_theta squaring to nonzero, or a term of
+d_theta leaving its block raises.
 """
 
 from dataclasses import dataclass
 from math import comb
 
 from . import linalg
-from .exterior import ce_differential, differential_matrix, form_to_vector
+from .exterior import ce_differential, differential_matrix, form_to_vector, weight_block
 
 
 def _require_closed(g, theta):
@@ -63,13 +77,22 @@ def _certified_rank(matrix, ncols, k):
 
 
 def _betti_vector(g, theta):
-    """(betti, closed_dims) for d_theta, from certified ranks."""
+    """(betti, closed_dims) for d_theta, from certified ranks on its weight block.
+
+    The dropped part of the complex is acyclic, so its rank in degree k is
+    sum_{j<=k} (-1)^(k-j) (C(n, j) - |keys_j|), which is added back to give
+    the closed dimensions of the whole complex.
+    """
     n = g.dim
-    matrices = [differential_matrix(g, k, theta) for k in range(n + 1)]
+    keys = weight_block(g, theta) + [[]]
+    matrices = [differential_matrix(g, k, theta, keys[k : k + 2]) for k in range(n + 1)]
     for k in range(n):
         if any(linalg.sparse_mul(matrices[k + 1], matrices[k])):
             raise RuntimeError(f"d_theta does not square to zero in degree {k}")
-    ranks = [_certified_rank(matrices[k], comb(n, k), k) for k in range(n + 1)]
+    ranks, dropped_rank = [], 0
+    for k in range(n + 1):
+        dropped_rank = comb(n, k) - len(keys[k]) - dropped_rank
+        ranks.append(_certified_rank(matrices[k], len(keys[k]), k) + dropped_rank)
     closed = [comb(n, k) - ranks[k] for k in range(n + 1)]
     betti = tuple(closed[k] - (ranks[k - 1] if k else 0) for k in range(n + 1))
     return betti, tuple(closed)
@@ -79,10 +102,12 @@ def cohomology(g, theta):
     """Twisted and untwisted Betti numbers of g.
 
     theta = 0 gives ordinary Chevalley-Eilenberg cohomology in both
-    slots.  All ranks are exact.
+    slots, computed once.  All ranks are exact.
     """
     _require_closed(g, theta)
     betti, closed = _betti_vector(g, None)
+    if theta.is_zero():
+        return CohomologyReport(betti, betti, closed, closed, theta)
     twisted, twisted_closed = _betti_vector(g, theta)
     return CohomologyReport(betti, twisted, closed, twisted_closed, theta)
 

@@ -62,6 +62,8 @@ def test_optional_fields_default_to_none():
         ("name=x dim=4 eq='(0,0,0,0)' extn=two", "bad extn value"),
         ("name=x dim=4 eq='(0,0,0,0)' extn=1", "extn needs a nonzero theta"),
         ("name=x dim=4 eq='(0,0,0,0)' theta=0,0,0,0 extn=none", "extn needs a nonzero theta"),
+        ("name=x dim=4 eq='(0,0,0,0)' omega=1,0,0,0,0,1 theta=0,0,0,0 ideal=1,2", "ideal needs a nonzero theta"),
+        ("name=x dim=4 eq='(0,0,0,0)' omega=1,0,0,0,0,1 theta=0,0,0,0 ideal=none", "ideal needs a nonzero theta"),
         ("name=x dim=4 eq='(0,0,0,0)' ideal=3;4", "bad ideal indices"),
         ("name=x dim=4 eq='(0,0,0,0)' ideal=3,9", "ideal indices out of range"),
         ("name=x dim=4 eq='(0,0,0,0)' params=λ", "lacks '='"),

@@ -7,15 +7,19 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lcslie import linalg, novikov
+from lcslie import exterior, linalg, novikov
 from lcslie.algebra import LieAlgebra
 from lcslie.exterior import (
     KForm,
     basis_form,
+    ce_differential,
+    diagonal_weights,
     differential_matrix,
     form_basis,
     one_form,
+    weight_block,
     zero_form,
 )
 from lcslie.lcs import LCSStructure
@@ -177,17 +181,26 @@ def test_cohomology_matches_the_sympy_oracle_in_dim_6():
     lower = [[1 if i == j else (i - j) % 3 - 1 if i > j else 0 for j in range(5)] for i in range(5)]
     p = linalg.mat_mul(lower, linalg.transpose(lower))
     conjugated = linalg.mat_mul(linalg.mat_mul(p, diagonal), linalg.inv(p))
-    for matrix in (diagonal, conjugated):
+    full = [form_basis(6, k) for k in range(7)]
+    for matrix, graded in ((diagonal, True), (conjugated, False)):
         g = almost_abelian(matrix)
+        # diagonal A makes e_1 diagonal; the dense conjugate has no diagonal element
+        assert list(diagonal_weights(g)) == ([1] if graded else [])
         for c in (1, -2, Fraction(1, 2)):
             theta = [c, 0, 0, 0, 0, 0]
+            for block in (weight_block(g), weight_block(g, one_form(6, theta))):
+                assert (block != full) == graded
             report = cohomology(g, one_form(6, theta))
             assert (report.betti, report.twisted_betti) == build_corpus.sympy_betti(g, theta)
 
 
 def test_rank_certificate_catches_a_dropped_or_invented_pivot(monkeypatch, by_name):
-    g, theta = by_name["rr3-1"].algebra(), by_name["rr3-1"].theta_form()
+    g, theta = by_name["ext42"].algebra(), by_name["ext42"].theta_form()
     honest = linalg.eliminate
+    # ext42 is graded, and its kept twisted block has pivots for "dropped" to drop
+    keys = weight_block(g, theta) + [[]]
+    assert sum(map(len, keys)) < 2**g.dim
+    assert any(honest(differential_matrix(g, k, theta, keys[k : k + 2])) for k in range(g.dim))
 
     def dropped(rows):
         pivots = honest(rows)
@@ -206,17 +219,132 @@ def test_rank_certificate_catches_a_dropped_or_invented_pivot(monkeypatch, by_na
         with pytest.raises(RuntimeError, match="rank/kernel mismatch in degree"):
             cohomology(g, theta)
     monkeypatch.setattr(linalg, "eliminate", honest)
-    assert cohomology(g, theta).betti == KNOWN["rr3-1"][0]
+    assert cohomology(g, theta).betti == KNOWN["ext42"][0]
 
 
 def test_a_differential_that_does_not_square_to_zero_raises(monkeypatch, by_name):
-    g, theta = by_name["rr3-1"].algebra(), by_name["rr3-1"].theta_form()
+    # every map of rr3-1's kept blocks is zero, so one corrupted degree cannot break d^2 there
+    g, theta = by_name["d4-a"].algebra(), by_name["d4-a"].theta_form()
     honest = novikov.differential_matrix
 
-    def corrupted(g, degree, theta=None):
-        rows = honest(g, degree, theta)
+    def corrupted(g, degree, theta=None, keys=None):
+        rows = honest(g, degree, theta, keys)
         return [{0: Fraction(1)} for _ in rows] if degree == 0 else rows
 
     monkeypatch.setattr(novikov, "differential_matrix", corrupted)
     with pytest.raises(RuntimeError, match="does not square to zero"):
         cohomology(g, theta)
+
+
+def full_complex_report(g, theta):
+    """(betti, closed_dims) of d_theta from the ranks of the full default-key matrices."""
+    n = g.dim
+    ranks = [linalg.rank(differential_matrix(g, k, theta)) for k in range(n + 1)]
+    closed = tuple(comb(n, k) - ranks[k] for k in range(n + 1))
+    return tuple(closed[k] - (ranks[k - 1] if k else 0) for k in range(n + 1)), closed
+
+
+def direct_sum(g, h):
+    """g + h, with h's basis after g's."""
+    shift = g.dim
+    brackets = dict(g.brackets)
+    for (i, j), terms in h.brackets.items():
+        brackets[(i + shift, j + shift)] = {k + shift: x for k, x in terms.items()}
+    return LieAlgebra(g.dim + h.dim, brackets)
+
+
+eigenvalues = st.sampled_from([Fraction(p, q) for p in range(-3, 4) for q in (1, 2)])
+
+
+@st.composite
+def graded_pairs(draw):
+    """(g, theta): R ⋉_A R^r with A diagonal and rational, alone or times a second such
+    factor (of dimension 1, which is R, or more), and theta a combination of the
+    duals of the diagonal elements, all of which are closed here."""
+    total = draw(st.integers(min_value=5, max_value=8))
+    second = draw(st.sampled_from([0, 0, 1, 2, 3]))
+    factors = []
+    for dim in (total - second, second):
+        if dim == 1:
+            factors.append(LieAlgebra(1, {}))
+        elif dim:
+            a = draw(st.lists(eigenvalues, min_size=dim - 1, max_size=dim - 1))
+            factors.append(almost_abelian([[x if i == j else 0 for j in range(dim - 1)] for i, x in enumerate(a)]))
+    g = factors[0] if len(factors) == 1 else direct_sum(*factors)
+    # theta(e_i) = the weight of a drawn key under every e_i keeps the twisted block nonempty
+    key = draw(st.lists(st.booleans(), min_size=g.dim, max_size=g.dim))
+    anywhere = draw(st.booleans())
+    coeffs = [0] * g.dim
+    for i, a in diagonal_weights(g).items():
+        weight = -sum(x for x, chosen in zip(a, key) if chosen)
+        coeffs[i - 1] = draw(st.sampled_from([0, 1, Fraction(-1, 2)])) if anywhere else weight
+    return g, one_form(g.dim, coeffs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(graded_pairs())
+def test_weight_block_cohomology_matches_the_full_complex(pair):
+    g, theta = pair
+    assert ce_differential(g, theta).is_zero()
+    weights = diagonal_weights(g)
+    assert 1 in weights
+    for t in (None, theta):
+        # the walk yields exactly the keys of the right weights, in form_basis order
+        wanted = {i: t.coefficient((i,)) if t is not None else 0 for i in weights}
+        expected = [
+            [
+                key
+                for key in form_basis(g.dim, k)
+                if all(-sum(a[j - 1] for j in key) == wanted[i] for i, a in weights.items())
+            ]
+            for k in range(g.dim + 1)
+        ]
+        assert weight_block(g, t) == expected
+    report = cohomology(g, theta)
+    assert (report.betti, report.closed_dims) == full_complex_report(g, None)
+    assert (report.twisted_betti, report.twisted_closed_dims) == full_complex_report(g, theta)
+
+
+def test_abelian_twisted_complex_is_dropped_whole():
+    g = LieAlgebra(4, {})
+    theta = one_form(4, [1, 0, Fraction(-2, 3), 0])
+    assert weight_block(g, theta) == [[]] * 5
+    report = cohomology(g, theta)
+    assert report.betti == (1, 4, 6, 4, 1)
+    assert report.twisted_betti == (0, 0, 0, 0, 0)
+    assert (report.twisted_betti, report.twisted_closed_dims) == full_complex_report(g, theta)
+
+
+def test_a_term_outside_the_weight_block_raises(monkeypatch, by_name):
+    g, theta = by_name["rr3-1"].algebra(), by_name["rr3-1"].theta_form()
+    assert diagonal_weights(g)[1][1] == 1  # [e_1, e_2] = e_2, so e^2 has weight -1
+    honest = exterior._expansion
+
+    def leaking(g, theta=None):
+        expand = honest(g, theta)
+
+        def leak(key):
+            yield from expand(key)
+            if not key:  # d(1) gains e^2, of weight -1; theta's closedness check is untouched
+                yield (2,), 1
+
+        return leak
+
+    monkeypatch.setattr(exterior, "_expansion", leaking)
+    with pytest.raises(RuntimeError, match="d_theta leaves its weight block in degree 0"):
+        cohomology(g, theta)
+
+
+def test_zero_theta_computes_the_plain_complex_once(monkeypatch, by_name):
+    g = by_name["rr3-1"].algebra()
+    calls = []
+    honest = novikov._betti_vector
+
+    def counted(g, theta):
+        calls.append(theta)
+        return honest(g, theta)
+
+    monkeypatch.setattr(novikov, "_betti_vector", counted)
+    report = cohomology(g, one_form(4, [0, 0, 0, 0]))
+    assert calls == [None]
+    assert report.twisted_betti == report.betti and report.twisted_closed_dims == report.closed_dims
