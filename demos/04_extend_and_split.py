@@ -21,7 +21,7 @@ from lcslie.construct import (
     unimodular_extension_dim,
 )
 from lcslie.corpus import default_corpus_path, load_corpus
-from lcslie.exterior import KForm, one_form
+from lcslie.exterior import KForm, is_unimodular, one_form
 from lcslie.lcs import LCSStructure
 from lcslie.notation import format_structure_equations, parse_structure_equations
 
@@ -40,7 +40,7 @@ rep = Representation(h, standard_symplectic(4), [mat1, zero, zero, zero])
 
 result = extend(LCSStructure(h, omega, theta), rep)
 print("extension:", format_structure_equations(result.algebra))
-print("unimodular:", result.unimodular)
+print("unimodular:", is_unimodular(result.algebra))
 
 # The trace condition trace(ad_X) = n * theta(X) singles out the half-
 # dimension n of V that makes the extension unimodular.  Scaling theta

@@ -39,14 +39,12 @@ from .lcs import (
 from .novikov import CohomologyReport, cohomology, is_exact_class, twisted_differential
 from .corpus import CorpusEntry, load_corpus, save_corpus
 from .construct import (
-    ExtensionResult,
     Representation,
     SymplecticSpace,
     decompose,
     extend,
     find_nondegenerate_abelian_ideal,
     is_lcs_representation,
-    symmetric_skew_split,
     unimodular_extension_dim,
 )
 from .lattice import (
@@ -86,14 +84,12 @@ __all__ = [
     "CorpusEntry",
     "load_corpus",
     "save_corpus",
-    "ExtensionResult",
     "Representation",
     "SymplecticSpace",
     "decompose",
     "extend",
     "find_nondegenerate_abelian_ideal",
     "is_lcs_representation",
-    "symmetric_skew_split",
     "unimodular_extension_dim",
     "LatticeCertificate",
     "build_certificate",

@@ -12,6 +12,7 @@ nonzeros rather than n^3.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 
 from . import linalg
@@ -70,6 +71,19 @@ class LieAlgebra:
         if not isinstance(other, LieAlgebra):
             return NotImplemented
         return self.dim == other.dim and self.brackets == other.brackets
+
+    @cached_property
+    def d_table(self):
+        """{m: [(i, j, x), ...]} with d(e^m) = sum x e^ij, pairs (i, j) in sorted order.
+
+        x = -c^m_ij, read off the table once; the instance is frozen, so the
+        cache cannot go stale.
+        """
+        table = {m: [] for m in range(1, self.dim + 1)}
+        for (i, j), terms in sorted(self.brackets.items()):
+            for m, c in terms.items():
+                table[m].append((i, j, -c))
+        return table
 
     def bracket_terms(self, i, j):
         """(sign, terms) with [e_i, e_j] = sign * sum_k terms[k] e_k, any i, j.

@@ -31,7 +31,7 @@ from . import construct, corpus, lattice, novikov
 from .algebra import MAX_DIM
 from .corpus import CorpusEntry, CorpusError, parse_params, parse_rational_list
 from .exterior import KForm, is_unimodular, one_form
-from .lcs import Kind, LCSStructure
+from .lcs import LCSStructure
 from .notation import NotationError, StructureEquationSource, format_structure_equations, parse_structure_equations
 
 
@@ -254,27 +254,31 @@ def cmd_extend(args):
     entry = matches[0]
     if entry.omega is None or entry.theta is None:
         raise UsageError(f"record {args.name!r} carries no omega/theta")
-    h = entry.algebra()
     theta = entry.theta_form()
+    if args.check_unimodular and theta.is_zero():
+        raise UsageError("--check-unimodular needs a nonzero theta: theta = 0 never "
+                         "extends to a twisted unimodular product")
+    h = entry.algebra()
     space, mats = _parse_rep_file(args.rep_file, h.dim)
     try:
         rep = construct.Representation(h, space, tuple(mats))
     except ValueError as exc:
         raise VerificationFailure(f"representation check failed: {exc}") from exc
     try:
-        result = construct.extend(LCSStructure(h, entry.omega_form(), theta), rep)
+        extended = construct.extend(LCSStructure(h, entry.omega_form(), theta), rep)
     except construct.PreconditionError as exc:
         raise VerificationFailure(f"representation is not compatible: {exc.reason}") from exc
-    g = result.algebra
+    g = extended.algebra
+    unimodular = is_unimodular(g)
 
     record = CorpusEntry(
         name=f"{entry.name}-ext",
         source=StructureEquationSource(format_structure_equations(g), {}),
         dim=g.dim,
-        omega=_pair_coefficients(result.structure.omega),
-        theta=_one_form_coefficients(result.structure.theta),
-        kind=str(Kind.SECOND_KIND) if any(entry.theta) else str(Kind.SYMPLECTIC),
-        unimodular=result.unimodular,
+        omega=_pair_coefficients(extended.omega),
+        theta=_one_form_coefficients(extended.theta),
+        kind=str(extended.verdict.kind),
+        unimodular=unimodular,
         note=f"extension of {entry.name} by a {space.dim}-dimensional representation",
     )
 
@@ -283,15 +287,15 @@ def cmd_extend(args):
         expected_n = construct.unimodular_extension_dim(h, theta)
         actual_n = Fraction(space.dim, 2)
         predicted = expected_n == actual_n
-        if predicted != result.unimodular:
+        if predicted != unimodular:
             raise VerificationFailure(
                 f"trace condition predicts unimodular={predicted} "
-                f"but the extension has unimodular={result.unimodular}"
+                f"but the extension has unimodular={unimodular}"
             )
         check_report = {
             "n": str(actual_n),
             "required_n": "none" if expected_n is None else str(expected_n),
-            "unimodular": result.unimodular,
+            "unimodular": unimodular,
         }
 
     if args.json:
@@ -299,7 +303,7 @@ def cmd_extend(args):
             "record": corpus.format_entry(record),
             "name": record.name,
             "dim": g.dim,
-            "unimodular": result.unimodular,
+            "unimodular": unimodular,
             "kind": record.kind,
         }
         if check_report is not None:

@@ -5,14 +5,18 @@ a symplectic vector space (V, omega_0), the product h ltimes_pi V
 carries the block form (omega on h, omega_0 on V, blocks orthogonal)
 with the Lee form extended by zero.  That pair is an LCS structure
 exactly when every pi(X) has omega_0-symmetric part -theta(X)/2 times
-the identity; the skew parts then form a representation into
-sp(V, omega_0), and the resulting structure is always of the second
+the identity, checked as the identity
+pi(X)^T Omega_0 + Omega_0 pi(X) = -theta(X) Omega_0 on the Gram matrix
+Omega_0; the skew parts then form a representation into sp(V, omega_0).
+extend returns the product's LCSStructure, which is always of the second
 kind and never exact.
 
 The converse direction splits an LCS algebra along a nondegenerate
-abelian ideal contained in ker(theta): its omega-orthogonal complement
-is a subalgebra acting on the ideal, and rebuilding the product returns
-the original algebra.
+abelian ideal u contained in ker(theta): decompose writes g, omega and
+theta once in the adapted basis (the omega-orthogonal complement h of u,
+then u) and reads the subalgebra h, its structure, omega_0 and the action
+of h on u off their blocks.  Rebuilding the product returns the same
+adapted-basis data.
 """
 
 from dataclasses import dataclass
@@ -21,8 +25,8 @@ from itertools import combinations
 
 from . import linalg
 from .algebra import LieAlgebra, change_basis
-from .exterior import KForm, check_jacobi, is_unimodular, one_form, pullback
-from .lcs import CheckResult, Kind, LCSStructure
+from .exterior import KForm, check_jacobi, one_form, pullback
+from .lcs import CheckResult, Kind, LCSStructure, gram_matrix
 
 
 class PreconditionError(ValueError):
@@ -101,64 +105,30 @@ class Representation:
         return out
 
 
-@dataclass(frozen=True)
-class ExtensionResult:
-    algebra: LieAlgebra
-    structure: LCSStructure
-    unimodular: bool
-
-
-def symmetric_skew_split(space, a):
-    """Unique split A = S + R with S omega_0-symmetric, R in sp(V, omega_0).
-
-    S = (A + Omega^-1 A^T Omega) / 2 and R = (A - Omega^-1 A^T Omega) / 2.
-    """
-    d = space.dim
-    if len(a) != d or any(len(row) != d for row in a):
-        raise ValueError("matrix dimension does not match the space")
-    omega_inv = linalg.inv(space.gram)
-    conj = linalg.mat_mul(omega_inv, linalg.mat_mul(linalg.transpose(a), space.gram))
-    half = Fraction(1, 2)
-    s = linalg.mat_scale(half, linalg.mat_add(a, conj))
-    r = linalg.mat_scale(half, linalg.mat_sub(a, conj))
-    return s, r
-
-
 def is_lcs_representation(rep, theta):
-    """Check S(e_i) = -theta(e_i)/2 * Id for every basis vector.
+    """Check pi(e_i)^T Omega_0 + Omega_0 pi(e_i) = -theta(e_i) Omega_0 for every e_i.
 
-    Returns a CheckResult whose witness, on failure, is the offending
-    basis index with its symmetric part.  On success the skew parts are
-    verified to form a representation into sp(V, omega_0).
+    Multiplied by Omega_0^-1 / 2, the identity says that the
+    omega_0-symmetric part (A + Omega_0^-1 A^T Omega_0) / 2 of A = pi(e_i)
+    is -theta(e_i)/2 * Id.  Returns a CheckResult whose witness, on
+    failure, is the offending basis index with the residual
+    A^T Omega_0 + Omega_0 A + theta(e_i) Omega_0.  For closed theta, as
+    every Lee form is, nothing else can fail: the skew parts
+    R_i = pi(e_i) + theta(e_i)/2 * Id satisfy [R_i, R_j] = [pi(e_i), pi(e_j)]
+    = pi([e_i, e_j]), which is R([e_i, e_j]) because theta([e_i, e_j]) = 0,
+    so they form a representation into sp(V, omega_0).
     """
     if theta.dim != rep.acting.dim or theta.degree != 1:
         raise ValueError("theta must be a 1-form on the acting algebra")
+    gram = rep.space.gram
     d = rep.space.dim
-    skews = []
-    for i in range(1, rep.acting.dim + 1):
-        s, r = symmetric_skew_split(rep.space, rep.mats[i - 1])
-        expected = linalg.mat_scale(
-            Fraction(-1, 2) * theta.coefficient((i,)), linalg.identity(d)
-        )
-        if s != expected:
+    for i, a in enumerate(rep.mats, start=1):
+        t = theta.coefficient((i,))
+        m = linalg.mat_mul(gram, a)  # A^T Omega_0 = -(Omega_0 A)^T, as Omega_0 is skew
+        residual = [[m[p][q] - m[q][p] + t * gram[p][q] for q in range(d)] for p in range(d)]
+        if any(any(row) for row in residual):
             return CheckResult(
-                False,
-                f"symmetric part of pi(e{i}) is not -theta(e{i})/2 * Id",
-                (i, s),
-            )
-        skews.append(r)
-    for i, j in combinations(range(1, rep.acting.dim + 1), 2):
-        bracket_mat = linalg.zeros(d, d)
-        for c, r in zip(rep.acting.basis_bracket(i, j), skews):
-            if c:
-                bracket_mat = linalg.mat_add(bracket_mat, linalg.mat_scale(c, r))
-        commutator = linalg.mat_sub(
-            linalg.mat_mul(skews[i - 1], skews[j - 1]),
-            linalg.mat_mul(skews[j - 1], skews[i - 1]),
-        )
-        if bracket_mat != commutator:
-            return CheckResult(
-                False, f"skew parts fail rho([e{i},e{j}]) = [rho(e{i}), rho(e{j})]", (i, j)
+                False, f"symmetric part of pi(e{i}) is not -theta(e{i})/2 * Id", (i, residual)
             )
     return CheckResult(True)
 
@@ -175,9 +145,9 @@ def _block_form(h_dim, total, omega, space):
 
 
 def extend(structure, rep):
-    """Build h ltimes_pi V with the block LCS structure on it.
+    """The block LCS structure on h ltimes_pi V, as an LCSStructure.
 
-    The basis of the result is the h basis followed by the V basis.
+    The basis of the algebra is the h basis followed by the V basis.
     Raises on any precondition failure; the returned structure is
     verified as LCS and, for theta != 0, checked to be of the second kind
     and non-exact.
@@ -209,7 +179,7 @@ def extend(structure, rep):
             raise RuntimeError("extension failed to be of the second kind")
         if extended.primitive is not None:
             raise RuntimeError("extension is exact, contradicting the construction")
-    return ExtensionResult(g, extended, is_unimodular(g))
+    return extended
 
 
 def unimodular_extension_dim(h, theta):
@@ -237,33 +207,8 @@ def unimodular_extension_dim(h, theta):
     return n_value
 
 
-def _omega_on(structure, left, right):
-    """Matrix of omega(l, r) for l in left and r in right, read off omega's coefficients."""
-    terms = structure.omega.coeffs.items()
-    return [
-        [
-            sum((c * (l[i - 1] * r[j - 1] - l[j - 1] * r[i - 1])
-                 for (i, j), c in terms if (l[i - 1] or l[j - 1]) and (r[i - 1] or r[j - 1])),
-                Fraction(0))
-            for r in right
-        ]
-        for l in left
-    ]
-
-
-def _coordinates_in(span, x):
-    coords = span.coordinates(x)
-    if coords is None:
-        raise PreconditionError("vector leaves the subspace", x)
-    return coords
-
-
 def check_decompose_preconditions(structure, u_basis):
-    """Raise PreconditionError naming the first failed requirement on u.
-
-    Returns the linalg.Span of u_basis, reduced once for every later
-    coordinate query.
-    """
+    """Raise PreconditionError naming the first failed requirement on u."""
     g, theta = structure.algebra, structure.theta
     if not u_basis:
         raise PreconditionError("empty ideal basis")
@@ -279,13 +224,20 @@ def check_decompose_preconditions(structure, u_basis):
         for b in range(a + 1, len(u_basis)):
             if any(g.bracket(u_basis[a], u_basis[b])):
                 raise PreconditionError("ideal is not abelian", (a + 1, b + 1))
-    kernel = linalg.nullspace(_omega_on(structure, u_basis, u_basis))
+    # omega(l, r) = l^T G r, summed over the nonzero coordinates of l and r
+    gram = structure.gram
+    supports = [[(i, x) for i, x in enumerate(u) if x] for u in u_basis]
+    omega_u = [
+        [sum((x * gram[i][j] * y for i, x in left for j, y in right), Fraction(0))
+         for right in supports]
+        for left in supports
+    ]
+    kernel = linalg.nullspace(omega_u)
     if kernel:
         raise PreconditionError("omega degenerates on the ideal", kernel[0])
     for u in u_basis:
         if theta.evaluate(u) != 0:
             raise PreconditionError("ideal is not contained in ker(theta)", u)
-    return span
 
 
 def decompose(structure, u_basis):
@@ -293,53 +245,53 @@ def decompose(structure, u_basis):
 
     Returns (base, rep): base is the LCS structure induced on the
     omega-orthogonal complement h of u, and rep is the adjoint action of
-    h on u.  Rebuilding with extend reproduces g in the basis (complement
-    basis, then u basis); the round trip is verified here against the
-    change-of-basis image of the original structure.
+    h on u.  g, omega and theta are written once in the adapted basis
+    (complement basis, then u basis), and everything is read off by
+    index: h is the complement block of the brackets, its omega and theta
+    the complement blocks of the forms, omega_0 the u block of omega, and
+    pi(x) the brackets of x with u.  Rebuilding with extend must return
+    exactly that adapted-basis data, which is verified here.
     """
-    g, omega, theta = structure.algebra, structure.omega, structure.theta
+    g = structure.algebra
     u_basis = [[Fraction(x) for x in u] for u in u_basis]
-    u_span = check_decompose_preconditions(structure, u_basis)
+    check_decompose_preconditions(structure, u_basis)
 
     perp = linalg.nullspace([linalg.mat_vec(structure.gram, u) for u in u_basis])
-    if len(perp) + len(u_basis) != g.dim:
+    hd, vd = len(perp), len(u_basis)
+    if hd + vd != g.dim:
         raise RuntimeError("orthogonal complement has the wrong dimension")
-    # the bracket is antisymmetric, so the pairs i < j decide closure
-    perp_span = linalg.Span(perp)
-    hd = len(perp)
-    h_brackets = {}
-    for i in range(1, hd + 1):
-        for j in range(i + 1, hd + 1):
-            coords = perp_span.coordinates(g.bracket(perp[i - 1], perp[j - 1]))
-            if coords is None:
-                raise RuntimeError("orthogonal complement is not a subalgebra")
-            h_brackets[(i, j)] = coords
-    h = LieAlgebra(hd, h_brackets)
+    columns = linalg.transpose(perp + u_basis)
+    adapted = change_basis(g, columns)
+    omega, theta = pullback(structure.omega, columns), pullback(structure.theta, columns)
 
-    omega_perp = _omega_on(structure, perp, perp)
-    omega_h = KForm(
-        hd, 2, {(i, j): omega_perp[i - 1][j - 1] for i, j in combinations(range(1, hd + 1), 2)}
-    )
-    theta_h = one_form(hd, [theta.evaluate(x) for x in perp])
+    # the bracket is antisymmetric, so the pairs i < j decide closure
+    h_brackets = {}
+    for (i, j), terms in adapted.brackets.items():
+        if j <= hd:
+            if max(terms) > hd:
+                raise RuntimeError("orthogonal complement is not a subalgebra")
+            h_brackets[(i, j)] = terms
+    h = LieAlgebra(hd, h_brackets)
+    omega_h = KForm(hd, 2, {key: c for key, c in omega.coeffs.items() if key[1] <= hd})
+    theta_h = one_form(hd, [theta.coefficient((i,)) for i in range(1, hd + 1)])
     base = LCSStructure(h, omega_h, theta_h)
 
-    space = SymplecticSpace(len(u_basis), _omega_on(structure, u_basis, u_basis))
-    mats = []
-    for x in perp:
-        cols = [_coordinates_in(u_span, g.bracket(x, u)) for u in u_basis]
-        mats.append(linalg.transpose(cols))
+    space = SymplecticSpace(vd, [row[hd:] for row in gram_matrix(omega)[hd:]])
+    mats = [
+        linalg.transpose([adapted.basis_bracket(i, hd + a)[hd:] for a in range(1, vd + 1)])
+        for i in range(1, hd + 1)
+    ]
     rep = Representation(h, space, mats)
 
     if structure.verdict.kind is not Kind.SECOND_KIND:
         raise RuntimeError("decomposable structure failed to be of the second kind")
 
     rebuilt = extend(base, rep)
-    basis_cols = linalg.transpose(perp + u_basis)
-    if change_basis(g, basis_cols) != rebuilt.algebra:
+    if rebuilt.algebra != adapted:
         raise RuntimeError("round trip does not reproduce the algebra")
-    if pullback(omega, basis_cols) != rebuilt.structure.omega:
+    if rebuilt.omega != omega:
         raise RuntimeError("round trip does not reproduce omega")
-    if pullback(theta, basis_cols) != rebuilt.structure.theta:
+    if rebuilt.theta != theta:
         raise RuntimeError("round trip does not reproduce theta")
     return base, rep
 

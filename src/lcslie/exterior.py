@@ -181,7 +181,7 @@ def wedge(a, b):
 def _expansion(g, theta=None):
     """key -> the terms (key', x) of d_theta(e^key) = sum x e^key'; keys may repeat.
 
-    d(e^m) = -sum_{i<j} c^m_ij e^ij is read off the brackets once.  With
+    d(e^m) = -sum_{i<j} c^m_ij e^ij comes from the algebra's d_table.  With
     K = key = (k_1 < ... < k_p), the antiderivation rule puts
     e^{k_1..k_{a-1}} ^ d(e^{k_a}) ^ e^{k_{a+1}..k_p} in d(e^K); in the term
     for e^ij, with R = K minus k_a, moving e^i and e^j into place from
@@ -189,10 +189,7 @@ def _expansion(g, theta=None):
     sign is (-1)^(a + #R<i + #R<j) for 0-based a.  theta, when given,
     subtracts theta ^ e^K, which is (-1)^(#K<l) theta_l on K plus l.
     """
-    d_table = {m: [] for m in range(1, g.dim + 1)}
-    for (i, j), terms in g.brackets.items():
-        for m, x in terms.items():
-            d_table[m].append((i, j, -x))
+    d_table = g.d_table
     twist = () if theta is None else theta.coeffs.items()
 
     def expand(key):

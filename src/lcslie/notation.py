@@ -279,10 +279,7 @@ def format_structure_equations(g):
     entries = []
     for k in range(1, g.dim + 1):
         terms = []
-        for (i, j), bracket in sorted(g.brackets.items()):
-            if k not in bracket:
-                continue
-            c = -bracket[k]
+        for i, j, c in g.d_table[k]:
             pair_text = f"{i}{j}" if plain else f"[{i}][{j}]"
             terms.append(_format_coeff(c, pair_text, plain))
         if not terms:

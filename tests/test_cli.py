@@ -190,6 +190,18 @@ def test_extend_rep_file_errors(capsys, tmp_path, small_corpus):
     assert code == 2 and "unknown keys" in err
 
 
+def test_extend_check_unimodular_needs_a_nonzero_theta(capsys, tmp_path):
+    # theta = 0 has no trace condition to check: a usage error, not a failed verification
+    rep = tmp_path / "rep2.txt"
+    rep.write_text("vdim=2\nmat1=0\nmat2=0\nmat3=0\nmat4=0\n")
+    argv = ("extend", default_corpus_path(), "--name", "abelian4", "--rep-file", str(rep))
+    code, out, err = run(capsys, *argv, "--check-unimodular")
+    assert code == 2 and out == ""
+    assert "--check-unimodular needs a nonzero theta" in err
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "kind=symplectic" in out
+
+
 def test_extend_bounds_vdim_by_max_dim(capsys, tmp_path):
     # rr3-1 is 4-dimensional, so a product stays within MAX_DIM = 14 only for vdim <= 10;
     # pi(e1) = -Id/2 would pass the representation checks

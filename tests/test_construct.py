@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lcslie import linalg
+from lcslie.algebra import abelian
 from lcslie.construct import (
     PreconditionError,
     Representation,
@@ -16,7 +17,6 @@ from lcslie.construct import (
     find_nondegenerate_abelian_ideal,
     is_lcs_representation,
     standard_symplectic,
-    symmetric_skew_split,
     unimodular_extension_dim,
 )
 from lcslie.exterior import KForm, is_unimodular, one_form
@@ -69,24 +69,67 @@ def test_symplectic_space_validation():
         SymplecticSpace(2, [[0, 1]])
 
 
-def test_symmetric_skew_split_identities():
+def random_symplectic(rng, dim):
+    """The standard Gram or a random nondegenerate skew integer one."""
+    if rng.random() < 0.5:
+        return standard_symplectic(dim)
+    while True:
+        gram = linalg.zeros(dim, dim)
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                gram[i][j] = Fraction(rng.randint(-3, 3))
+                gram[j][i] = -gram[i][j]
+        if linalg.det(gram) != 0:
+            return SymplecticSpace(dim, gram)
+
+
+def test_is_lcs_representation_matches_the_symmetric_part_oracle():
+    # oracle: the omega_0-symmetric part S = (A + Omega^-1 A^T Omega) / 2
+    # must be -theta(e_i)/2 * Id; the residual of the checked identity is
+    # 2 Omega (S + theta(e_i)/2 * Id)
     rng = random.Random(77)
-    space = standard_symplectic(4)
-    omega = space.gram
-    omega_inv = linalg.inv(omega)
-    for _ in range(15):
-        a = [[Fraction(rng.randint(-3, 3)) for _ in range(4)] for _ in range(4)]
-        s, r = symmetric_skew_split(space, a)
-        assert linalg.mat_add(s, r) == a
-        conj_s = linalg.mat_mul(omega_inv, linalg.mat_mul(linalg.transpose(s), omega))
-        conj_r = linalg.mat_mul(omega_inv, linalg.mat_mul(linalg.transpose(r), omega))
-        assert conj_s == s
-        assert conj_r == linalg.mat_scale(Fraction(-1), r)
-        # r is in sp(V, omega_0): omega(r x, y) + omega(x, r y) = 0
-        lie = linalg.mat_add(
-            linalg.mat_mul(linalg.transpose(r), omega), linalg.mat_mul(omega, r)
-        )
-        assert lie == linalg.zeros(4, 4)
+    outcomes = set()
+    for trial in range(60):
+        dim = rng.choice((2, 4))
+        space = random_symplectic(rng, dim)
+        omega = space.gram
+        omega_inv = linalg.inv(omega)
+        thetas = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(2)]
+        if trial % 2:
+            # -theta_1/2 * Id plus an element Omega^-1 B of sp(V, omega_0), B symmetric
+            b = linalg.zeros(dim, dim)
+            for i in range(dim):
+                for j in range(i, dim):
+                    b[i][j] = b[j][i] = Fraction(rng.randint(-2, 2))
+            a = linalg.mat_add(
+                linalg.mat_scale(-thetas[0] / 2, linalg.identity(dim)),
+                linalg.mat_mul(omega_inv, b),
+            )
+        else:
+            a = [[Fraction(rng.randint(-3, 3)) for _ in range(dim)] for _ in range(dim)]
+        # pi(e_2) = s * Id commutes with pi(e_1) = A, so the abelian algebra acts;
+        # s = 1 fails at e_2 unless theta_2 = -2
+        s = 1 if trial % 3 == 0 else -thetas[1] / 2
+        mats = [a, linalg.mat_scale(s, linalg.identity(dim))]
+        rep = Representation(abelian(2), space, mats)
+        expected = None
+        for i, (m, t) in enumerate(zip(mats, thetas), start=1):
+            conj = linalg.mat_mul(omega_inv, linalg.mat_mul(linalg.transpose(m), omega))
+            sym = linalg.mat_scale(Fraction(1, 2), linalg.mat_add(m, conj))
+            diff = linalg.mat_add(sym, linalg.mat_scale(t / 2, linalg.identity(dim)))
+            if any(any(row) for row in diff):
+                expected = (i, linalg.mat_scale(2, linalg.mat_mul(omega, diff)))
+                break
+        result = is_lcs_representation(rep, one_form(2, thetas))
+        outcomes.add(expected and expected[0])
+        if expected is None:
+            assert result
+        else:
+            assert not result
+            assert result.failure == f"symmetric part of pi(e{i}) is not -theta(e{i})/2 * Id"
+            assert result.witness == expected
+    # passing, failing at e_1 and failing at e_2 all occur
+    assert outcomes == {None, 1, 2}
 
 
 def test_representation_validates_homomorphism():
@@ -119,15 +162,15 @@ def test_extend_reproduces_the_worked_example():
     g = result.algebra
     assert g.dim == 8
     assert format_structure_equations(g) == "(0,0,-13+24,-14-23,0,16,17,0)"
-    assert result.unimodular and is_unimodular(g)
-    omega_ext = result.structure.omega
-    theta_ext = result.structure.theta
+    assert is_unimodular(result.algebra) and is_unimodular(g)
+    omega_ext = result.omega
+    theta_ext = result.theta
     assert omega_ext == KForm(
         8, 2, {(1, 3): 1, (2, 4): Fraction(-1, 2), (5, 6): 1, (7, 8): 1}
     )
     assert theta_ext == one_form(8, [1, 0, 0, 0, 0, 0, 0, 0])
-    assert result.structure.verdict.kind is Kind.SECOND_KIND
-    assert result.structure.primitive is None
+    assert result.verdict.kind is Kind.SECOND_KIND
+    assert result.primitive is None
     assert recover_lee_form(g, omega_ext) == theta_ext
 
 
@@ -232,3 +275,33 @@ def test_ideal_search(by_name):
 def test_ideal_search_requires_twisted_structure(by_name):
     with pytest.raises(ValueError, match="theta = 0"):
         find_nondegenerate_abelian_ideal(structure_of(by_name["abelian4"]))
+
+
+def test_extend_then_decompose_returns_the_inputs(shipped):
+    # the scalar representation rho(X) = -theta(X)/2 * Id on a 2n-dimensional
+    # space, n = extn, makes the product unimodular; splitting along the V
+    # coordinates must hand back every input exactly
+    count = 0
+    for entry in shipped:
+        if entry.omega is None or not isinstance(entry.extn, Fraction):
+            continue
+        n = entry.extn
+        if n <= 0 or n.denominator != 1:
+            continue
+        structure = structure_of(entry)
+        h, theta = structure.algebra, structure.theta
+        space = standard_symplectic(2 * int(n))
+        mats = [linalg.mat_scale(-theta.coefficient((i,)) / 2, linalg.identity(space.dim))
+                for i in range(1, h.dim + 1)]
+        extended = extend(structure, Representation(h, space, mats))
+        assert is_unimodular(extended.algebra), entry.name
+        g = extended.algebra
+        u_basis = [g.basis_vector(h.dim + a) for a in range(1, space.dim + 1)]
+        base, rep = decompose(extended, u_basis)
+        assert base.algebra == h, entry.name
+        assert base.omega == structure.omega, entry.name
+        assert base.theta == theta, entry.name
+        assert rep.mats == mats, entry.name
+        assert rep.space.gram == space.gram, entry.name
+        count += 1
+    assert count == 18
