@@ -16,8 +16,12 @@ pairwise.
 
 import math
 
-from lcslie import linalg
-from lcslie.lattice import build_certificate, certificate_report, distinguish_solvmanifolds
+from lcslie.lattice import (
+    build_certificate,
+    certificate_report,
+    char_poly_exact,
+    distinguish_solvmanifolds,
+)
 
 # One certificate in full.
 cert = build_certificate(3)
@@ -50,6 +54,7 @@ for m in range(3, 7):
     )
     print(f"  m={m}:{row}")
 
-# The integer models have determinant one, as lattice maps must.
+# The integer models have determinant one, as lattice maps must: det D is
+# (-1)^n times the constant term of its characteristic polynomial.
 print()
-print("det D_3 =", linalg.det(cert.d_m))
+print("det D_3 =", (-1) ** len(cert.d_m) * char_poly_exact(cert.d_m)[-1])

@@ -3,10 +3,10 @@
 
 Each record's verdicts come from `lcslie.corpus.recompute`, so the
 packaged corpus is its fixed point.  The values derived by hand below
-(wedge identities for the Lee form, trace conditions for the extension
-dimension, automorphism systems for the kind) are *asserted* against
-them before anything is written; the script refuses to emit a corpus
-the library disagrees with.  Twisted Betti vectors for the two
+(d(omega) = theta ^ omega for the Lee form, trace conditions for the
+extension dimension, automorphism systems for the kind) are *asserted*
+against them before anything is written; the script refuses to emit a
+corpus the library disagrees with.  Twisted Betti vectors for the two
 8-dimensional records are additionally cross-checked against an
 independent sympy implementation that evaluates the differential by
 the simplicial formula rather than as an antiderivation.

@@ -15,12 +15,10 @@ certificates over the rings Z[lambda] with lambda^2 = m lambda - 1.
 from .algebra import LieAlgebra, abelian, center, change_basis
 from .exterior import (
     KForm,
-    adjoint,
     basis_form,
     ce_differential,
     check_jacobi,
     is_unimodular,
-    wedge,
 )
 from .notation import (
     StructureEquationSource,
@@ -36,7 +34,7 @@ from .lcs import (
     classify_kind,
     recover_lee_form,
 )
-from .novikov import CohomologyReport, cohomology, is_exact_class, twisted_differential
+from .novikov import CohomologyReport, cohomology, is_exact_class
 from .corpus import CorpusEntry, load_corpus, save_corpus
 from .construct import (
     Representation,
@@ -61,12 +59,10 @@ __all__ = [
     "center",
     "change_basis",
     "KForm",
-    "adjoint",
     "basis_form",
     "ce_differential",
     "check_jacobi",
     "is_unimodular",
-    "wedge",
     "StructureEquationSource",
     "format_structure_equations",
     "parse_structure_equations",
@@ -80,7 +76,6 @@ __all__ = [
     "CohomologyReport",
     "cohomology",
     "is_exact_class",
-    "twisted_differential",
     "CorpusEntry",
     "load_corpus",
     "save_corpus",

@@ -130,11 +130,6 @@ class LieAlgebra:
             out[k - 1] = v
         return out
 
-    def structure_constant(self, i, j, k):
-        """c^k_{ij} with [e_i, e_j] = sum_k c^k_{ij} e_k (any i, j)."""
-        sign, terms = self.bracket_terms(i, j)
-        return sign * terms.get(k, Fraction(0))
-
     def ad_traces(self):
         """[tr ad_{e_1}, ..., tr ad_{e_n}], with tr ad_{e_i} = sum_j c^j_{ij}.
 

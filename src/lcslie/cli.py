@@ -224,7 +224,10 @@ def _parse_rep_file(path, hdim):
         for (i, j), c in zip(pairs, coeffs):
             gram[i - 1][j - 1] = c
             gram[j - 1][i - 1] = -c
-        space = construct.SymplecticSpace(vdim, tuple(tuple(row) for row in gram))
+        try:
+            space = construct.SymplecticSpace(vdim, tuple(tuple(row) for row in gram))
+        except ValueError as exc:
+            raise UsageError(f"{path}: omega0: {exc}") from exc
     else:
         space = construct.standard_symplectic(vdim)
 

@@ -25,8 +25,8 @@ from itertools import combinations
 
 from . import linalg
 from .algebra import LieAlgebra, change_basis
-from .exterior import KForm, check_jacobi, one_form, pullback
-from .lcs import CheckResult, Kind, LCSStructure, gram_matrix
+from .exterior import KForm, check_jacobi, one_form
+from .lcs import CheckResult, Kind, LCSStructure, lee_value
 
 
 class PreconditionError(ValueError):
@@ -55,7 +55,7 @@ class SymplecticSpace:
             for j in range(self.dim):
                 if gram[i][j] != -gram[j][i]:
                     raise ValueError("Gram matrix is not skew")
-        if linalg.det(gram) == 0:
+        if linalg.nullspace(gram):
             raise ValueError("Gram matrix is degenerate")
         object.__setattr__(self, "gram", gram)
 
@@ -207,6 +207,17 @@ def unimodular_extension_dim(h, theta):
     return n_value
 
 
+def _gram_on(gram, vectors):
+    """The skew matrix of omega(x, y) = x^T G y on the vectors, over their nonzero coordinates."""
+    supports = [[(i, x) for i, x in enumerate(v) if x] for v in vectors]
+    out = linalg.zeros(len(vectors), len(vectors))
+    for a, left in enumerate(supports):
+        for b in range(a + 1, len(supports)):
+            value = sum((x * gram[i][j] * y for i, x in left for j, y in supports[b]), Fraction(0))
+            out[a][b], out[b][a] = value, -value
+    return out
+
+
 def check_decompose_preconditions(structure, u_basis):
     """Raise PreconditionError naming the first failed requirement on u."""
     g, theta = structure.algebra, structure.theta
@@ -224,19 +235,11 @@ def check_decompose_preconditions(structure, u_basis):
         for b in range(a + 1, len(u_basis)):
             if any(g.bracket(u_basis[a], u_basis[b])):
                 raise PreconditionError("ideal is not abelian", (a + 1, b + 1))
-    # omega(l, r) = l^T G r, summed over the nonzero coordinates of l and r
-    gram = structure.gram
-    supports = [[(i, x) for i, x in enumerate(u) if x] for u in u_basis]
-    omega_u = [
-        [sum((x * gram[i][j] * y for i, x in left for j, y in right), Fraction(0))
-         for right in supports]
-        for left in supports
-    ]
-    kernel = linalg.nullspace(omega_u)
+    kernel = linalg.nullspace(_gram_on(structure.gram, u_basis))
     if kernel:
         raise PreconditionError("omega degenerates on the ideal", kernel[0])
     for u in u_basis:
-        if theta.evaluate(u) != 0:
+        if lee_value(theta, u) != 0:
             raise PreconditionError("ideal is not contained in ker(theta)", u)
 
 
@@ -249,8 +252,10 @@ def decompose(structure, u_basis):
     (complement basis, then u basis), and everything is read off by
     index: h is the complement block of the brackets, its omega and theta
     the complement blocks of the forms, omega_0 the u block of omega, and
-    pi(x) the brackets of x with u.  Rebuilding with extend must return
-    exactly that adapted-basis data, which is verified here.
+    pi(x) the brackets of x with u.  On the adapted basis x_1, ..., x_n
+    the forms are read off their coefficients: omega as x_i^T G x_j and
+    theta as theta(x_j).  Rebuilding with extend must return exactly
+    that adapted-basis data, which is verified here.
     """
     g = structure.algebra
     u_basis = [[Fraction(x) for x in u] for u in u_basis]
@@ -260,9 +265,12 @@ def decompose(structure, u_basis):
     hd, vd = len(perp), len(u_basis)
     if hd + vd != g.dim:
         raise RuntimeError("orthogonal complement has the wrong dimension")
-    columns = linalg.transpose(perp + u_basis)
-    adapted = change_basis(g, columns)
-    omega, theta = pullback(structure.omega, columns), pullback(structure.theta, columns)
+    vectors = perp + u_basis
+    adapted = change_basis(g, linalg.transpose(vectors))
+    gram = _gram_on(structure.gram, vectors)
+    omega = KForm(g.dim, 2, {(i + 1, j + 1): gram[i][j] for i, j in combinations(range(g.dim), 2)})
+    theta_values = [lee_value(structure.theta, x) for x in vectors]
+    theta = one_form(g.dim, theta_values)
 
     # the bracket is antisymmetric, so the pairs i < j decide closure
     h_brackets = {}
@@ -273,10 +281,9 @@ def decompose(structure, u_basis):
             h_brackets[(i, j)] = terms
     h = LieAlgebra(hd, h_brackets)
     omega_h = KForm(hd, 2, {key: c for key, c in omega.coeffs.items() if key[1] <= hd})
-    theta_h = one_form(hd, [theta.coefficient((i,)) for i in range(1, hd + 1)])
-    base = LCSStructure(h, omega_h, theta_h)
+    base = LCSStructure(h, omega_h, one_form(hd, theta_values[:hd]))
 
-    space = SymplecticSpace(vd, [row[hd:] for row in gram_matrix(omega)[hd:]])
+    space = SymplecticSpace(vd, [row[hd:] for row in gram[hd:]])
     mats = [
         linalg.transpose([adapted.basis_bracket(i, hd + a)[hd:] for a in range(1, vd + 1)])
         for i in range(1, hd + 1)
@@ -300,15 +307,17 @@ def find_nondegenerate_abelian_ideal(structure):
     """First coordinate subspace usable by decompose.
 
     Searches the even-dimensional coordinate subspaces in order of
-    dimension, then of their index tuples.  Returns the basis or None;
-    None means no coordinate subspace qualifies, not that no such ideal
-    exists.
+    dimension, then of their index tuples.  Only the coordinates e_i
+    with theta(e_i) = 0 enter, since any other fails the ker(theta)
+    test.  Returns the basis or None; None means no coordinate subspace
+    qualifies, not that no such ideal exists.
     """
-    g = structure.algebra
-    if structure.theta.is_zero():
+    g, theta = structure.algebra, structure.theta
+    if theta.is_zero():
         raise ValueError("theta = 0: the structure is symplectic, not twisted")
-    for size in range(2, g.dim + 1, 2):
-        for indices in combinations(range(1, g.dim + 1), size):
+    free = [i for i in range(1, g.dim + 1) if not theta.coefficient((i,))]
+    for size in range(2, len(free) + 1, 2):
+        for indices in combinations(free, size):
             cand = [g.basis_vector(i) for i in indices]
             try:
                 check_decompose_preconditions(structure, cand)

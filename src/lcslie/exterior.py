@@ -1,10 +1,13 @@
 """Exterior algebra on the dual of a Lie algebra.
 
 K-forms carry exact rational coefficients indexed by strictly increasing
-tuples of basis indices.  The Chevalley-Eilenberg differential follows
-the convention that d(alpha)(X, Y) = -alpha([X, Y]) on 1-forms, extended
-to higher degree as an antiderivation, so the structure-equation tuples
-are literally the expansions of the d(e^k).  One term expansion of
+tuples of basis indices.  The library evaluates forms only in degrees 1
+and 2, and reads those values off the coefficients: theta(x) is a dot
+product, omega(x, y) is x^T G y with the Gram matrix G.  The
+Chevalley-Eilenberg differential follows the convention that
+d(alpha)(X, Y) = -alpha([X, Y]) on 1-forms, extended to higher degree as
+an antiderivation, so the structure-equation tuples are literally the
+expansions of the d(e^k).  One term expansion of
 d(e^K) serves both ce_differential and differential_matrix; the latter
 also assembles a single weight block (weight_block) of the complex.
 """
@@ -14,21 +17,7 @@ from itertools import combinations
 from math import lcm
 from operator import add, sub
 
-from . import linalg
 from .algebra import MAX_DIM
-
-
-def _perm_sign(seq):
-    """Sign of the permutation sorting seq, 0 if entries repeat."""
-    s = list(seq)
-    sign = 1
-    for i in range(len(s)):
-        for j in range(i + 1, len(s)):
-            if s[i] == s[j]:
-                return 0
-            if s[i] > s[j]:
-                sign = -sign
-    return sign
 
 
 class KForm:
@@ -37,8 +26,7 @@ class KForm:
     coeffs maps strictly increasing index tuples (1-based) to nonzero
     Fractions; missing keys are zero.  Degree-0 forms are scalars keyed
     by ().  Degrees above the ambient dimension admit no valid keys, so
-    only the zero form exists there; wedge products that overflow the
-    dimension return it.
+    only the zero form exists there.
     """
 
     __slots__ = ("dim", "degree", "coeffs")
@@ -105,16 +93,6 @@ class KForm:
 
     __mul__ = __rmul__
 
-    def evaluate(self, *vectors):
-        """Value on degree-many coordinate vectors (a k-multilinear form)."""
-        if len(vectors) != self.degree:
-            raise ValueError(f"expected {self.degree} vectors, got {len(vectors)}")
-        total = Fraction(0)
-        for key, value in self.coeffs.items():
-            minor = [[v[i - 1] for v in vectors] for i in key]
-            total += value * linalg.det(minor)
-        return total
-
     def __repr__(self):
         if not self.coeffs:
             return f"KForm({self.dim}, {self.degree}, 0)"
@@ -157,25 +135,6 @@ def form_to_vector(a, basis=None):
 def vector_to_form(dim, degree, vec, basis=None):
     basis = basis if basis is not None else form_basis(dim, degree)
     return KForm(dim, degree, dict(zip(basis, vec)))
-
-
-def wedge(a, b):
-    """Exterior product; bilinear, associative, graded-commutative."""
-    if a.dim != b.dim:
-        raise ValueError("ambient dimension mismatch")
-    degree = a.degree + b.degree
-    coeffs = {}
-    for ka, va in a.coeffs.items():
-        for kb, vb in b.coeffs.items():
-            merged = ka + kb
-            sign = _perm_sign(merged)
-            if sign == 0:
-                continue
-            key = tuple(sorted(merged))
-            coeffs[key] = coeffs.get(key, Fraction(0)) + sign * va * vb
-    if degree > a.dim:
-        return zero_form(a.dim, degree)
-    return KForm(a.dim, degree, coeffs)
 
 
 def _expansion(g, theta=None):
@@ -320,18 +279,6 @@ def weight_block(g, theta=None):
     return keys
 
 
-def pullback(a, columns):
-    """The form a composed with the basis change given by the matrix columns."""
-    n = a.dim
-    new_basis = [[row[j] for row in columns] for j in range(n)]
-    coeffs = {}
-    for key in combinations(range(1, n + 1), a.degree):
-        value = a.evaluate(*(new_basis[i - 1] for i in key))
-        if value:
-            coeffs[key] = value
-    return KForm(n, a.degree, coeffs)
-
-
 def check_jacobi(g):
     """(True, None) or (False, (i, j, k)) with a violating basis triple.
 
@@ -352,12 +299,6 @@ def check_jacobi(g):
         if any(total.values()):
             return False, (i, j, k)
     return True, None
-
-
-def adjoint(g, x):
-    """Matrix of y -> [x, y] in the fixed basis."""
-    cols = [g.bracket(x, g.basis_vector(j)) for j in range(1, g.dim + 1)]
-    return linalg.transpose(cols)
 
 
 def is_unimodular(g):

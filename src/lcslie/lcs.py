@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
+from .algebra import abelian
 from .exterior import (
     KForm,
     basis_form,
@@ -24,7 +25,6 @@ from .exterior import (
     form_basis,
     form_to_vector,
     vector_to_form,
-    wedge,
 )
 
 
@@ -89,7 +89,7 @@ class LCSStructure:
         reduces to evaluating theta on an automorphism-algebra basis.
         """
         auto = automorphism_algebra(self.algebra, self.omega)
-        lee_values = [self.theta.evaluate(x) for x in auto]
+        lee_values = [lee_value(self.theta, x) for x in auto]
         if self.theta.is_zero():
             kind = Kind.SYMPLECTIC
         elif any(lee_values):
@@ -113,6 +113,11 @@ def classify_kind(g, omega, theta):
     benchmark's tracer test; code that holds a structure reads its verdict.
     """
     return LCSStructure(g, omega, theta).verdict
+
+
+def lee_value(theta, x):
+    """theta(x) for a coordinate vector x: the dot product with theta's coefficients."""
+    return sum((c * x[i - 1] for (i,), c in theta.coeffs.items()), Fraction(0))
 
 
 def gram_matrix(omega):
@@ -199,12 +204,15 @@ def recover_lee_form(g, omega):
     """
     if omega.dim != g.dim or omega.degree != 2:
         raise ValueError("omega must be a 2-form on the algebra")
-    if linalg.det(gram_matrix(omega)) == 0:
+    if linalg.nullspace(gram_matrix(omega)):
         raise ValueError("omega is degenerate; the Lee form is not determined")
     n = g.dim
     three_basis = form_basis(n, 3)
+    # d vanishes on the abelian algebra, so the twist alone gives d_(-e^i)(omega) = e^i ^ omega
+    flat = abelian(n)
     span = linalg.Span(
-        [form_to_vector(wedge(basis_form(n, (i,)), omega), three_basis) for i in range(1, n + 1)]
+        [form_to_vector(ce_differential(flat, omega, -basis_form(n, (i,))), three_basis)
+         for i in range(1, n + 1)]
     )
     if span.rank != n:
         raise ValueError("theta is not unique; omega does not determine a Lee form")

@@ -11,8 +11,8 @@ complement, a new basis) is a Span: its spanning vectors are reduced
 once, and each later query, "the coordinates of x, or None when x is off
 the span", costs one pass over the reduced rows.  The remaining small
 systems (Gram matrices, automorphism algebras, the Lee form) are dense
-lists of rows, and their kernels, solutions and inverses are read off
-the reduced rows of a Span as well.
+lists of rows, and their kernels are read off the reduced rows of a
+Span as well.
 """
 
 from fractions import Fraction
@@ -61,11 +61,6 @@ def trace(a):
 
 # The Mersenne prime 2^61 - 1, modulus of the independent rank check.
 RANK_CHECK_PRIME = (1 << 61) - 1
-
-
-def sparse_rows(a):
-    """The sparse rows of a dense matrix."""
-    return [{j: x for j, x in enumerate(row) if x} for row in a]
 
 
 def sparse_transpose(rows, ncols):
@@ -272,41 +267,3 @@ def nullspace(a):
         for f in range(ncols)
         if f not in rows
     ]
-
-
-def solve(a, b):
-    """The solution of a x = b supported on the pivot columns, or None when inconsistent."""
-    ncols = len(a[0]) if a else 0
-    rows = Span([list(row) + [bv] for row, bv in zip(a, b)]).rows
-    if ncols in rows:
-        return None
-    return [rows[j].get(ncols, Fraction(0)) if j in rows else Fraction(0) for j in range(ncols)]
-
-
-def det(a):
-    n = len(a)
-    m = [list(row) for row in a]
-    result = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            result = -result
-        result *= m[col][col]
-        inv_p = 1 / Fraction(m[col][col])
-        for i in range(col + 1, n):
-            if m[i][col]:
-                c = m[i][col] * inv_p
-                m[i] = [x - c * y for x, y in zip(m[i], m[col])]
-    return result
-
-
-def inv(a):
-    """Inverse of a square matrix: row j holds the coordinates of e_j in the rows of a."""
-    span = Span(a)
-    n = len(a)
-    if span.rank != n:
-        raise ValueError("matrix is singular")
-    return [span.coordinates(e) for e in identity(n)]

@@ -38,12 +38,6 @@ def _require_closed(g, theta):
         raise ValueError("theta is not closed; the twisted differential would not square to zero")
 
 
-def twisted_differential(g, theta, a):
-    """d_theta(a) = d(a) - theta ^ a; requires d(theta) = 0."""
-    _require_closed(g, theta)
-    return ce_differential(g, a, theta)
-
-
 @dataclass(frozen=True)
 class CohomologyReport:
     """Betti numbers beta_0..beta_n, twisted and untwisted, with the

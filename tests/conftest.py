@@ -1,9 +1,10 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from lcslie import corpus
-from lcslie.exterior import KForm, basis_form, wedge, zero_form
+from lcslie.exterior import KForm, basis_form, zero_form
 
 
 @pytest.fixture(scope="session")
@@ -57,11 +58,77 @@ def dense():
     return to_dense
 
 
+@pytest.fixture(scope="session")
+def sparse():
+    """The sparse rows of a dense matrix."""
+
+    def to_sparse(a):
+        return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+    return to_sparse
+
+
+def _perm_sign(seq):
+    """Sign of the permutation sorting seq, 0 if entries repeat."""
+    s = list(seq)
+    sign = 1
+    for i in range(len(s)):
+        for j in range(i + 1, len(s)):
+            if s[i] == s[j]:
+                return 0
+            if s[i] > s[j]:
+                sign = -sign
+    return sign
+
+
+def _wedge(a, b):
+    """Exterior product of monomials e^K ^ e^L = sign(K + L) e^(K u L); the
+    zero form when the degree exceeds the dimension."""
+    if a.dim != b.dim:
+        raise ValueError("ambient dimension mismatch")
+    degree = a.degree + b.degree
+    if degree > a.dim:
+        return zero_form(a.dim, degree)
+    coeffs = {}
+    for ka, va in a.coeffs.items():
+        for kb, vb in b.coeffs.items():
+            sign = _perm_sign(ka + kb)
+            if sign:
+                key = tuple(sorted(ka + kb))
+                coeffs[key] = coeffs.get(key, Fraction(0)) + sign * va * vb
+    return KForm(a.dim, degree, coeffs)
+
+
+@pytest.fixture(scope="session")
+def wedge():
+    return _wedge
+
+
+def _evaluate(a, *vectors):
+    """a(v_1, ..., v_k) = sum_K a_K det(v_r[K_s]), each determinant by the
+    Leibniz formula, sum over permutations p of sign(p) prod_r v_r[K_p(r)]."""
+    if len(vectors) != a.degree:
+        raise ValueError(f"expected {a.degree} vectors, got {len(vectors)}")
+    total = Fraction(0)
+    for key, value in a.coeffs.items():
+        for perm in permutations(range(a.degree)):
+            term = _perm_sign(perm) * value
+            for v, p in zip(vectors, perm):
+                term *= v[key[p] - 1]
+            total += term
+    return total
+
+
+@pytest.fixture(scope="session")
+def evaluate():
+    return _evaluate
+
+
 def _wedge_differential(g, a):
     """d(a) by the antiderivation rule on wedge monomials,
     d(e^{i1} ^ ... ^ e^{ik}) = sum_a (-1)^(a-1) e^{i1} ^ ... ^ d(e^{ia}) ^ ... ^ e^{ik},
     with d(e^k) = -sum_{i<j} c^k_ij e^i ^ e^j read off the brackets and the
-    products taken by wedge; independent of the library's term expansion.
+    products taken by _wedge; independent of the library's term expansion.
     """
     result = zero_form(g.dim, a.degree + 1)
     for key, value in a.coeffs.items():
@@ -69,9 +136,9 @@ def _wedge_differential(g, a):
             d_idx = {ij: -terms[idx] for ij, terms in g.brackets.items() if idx in terms}
             dpart = KForm(g.dim, 2, d_idx)
             prefix = basis_form(g.dim, key[:pos]) if pos else KForm(g.dim, 0, {(): 1})
-            term = wedge(prefix, dpart)
+            term = _wedge(prefix, dpart)
             if key[pos + 1 :]:
-                term = wedge(term, basis_form(g.dim, key[pos + 1 :]))
+                term = _wedge(term, basis_form(g.dim, key[pos + 1 :]))
             result = result + (Fraction(-1) ** pos * value) * term
     return result
 

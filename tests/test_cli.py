@@ -189,6 +189,13 @@ def test_extend_rep_file_errors(capsys, tmp_path, small_corpus):
     )
     assert code == 2 and "unknown keys" in err
 
+    # a degenerate omega0 is malformed input too, not a failed verification
+    bad.write_text("vdim=2\nomega0=0\nmat1=0\nmat2=0\nmat3=0\nmat4=0\n")
+    code, out, err = run(
+        capsys, "extend", str(small_corpus), "--name", "r2p", "--rep-file", str(bad)
+    )
+    assert code == 2 and out == "" and "omega0: Gram matrix is degenerate" in err
+
 
 def test_extend_check_unimodular_needs_a_nonzero_theta(capsys, tmp_path):
     # theta = 0 has no trace condition to check: a usage error, not a failed verification
@@ -427,3 +434,9 @@ def test_cli_imports_neither_numpy_nor_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in lcslie.__all__ if not hasattr(lcslie, name)]
+    assert missing == []
+    assert len(set(lcslie.__all__)) == len(lcslie.__all__)

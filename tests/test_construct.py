@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+import sympy
 
 from lcslie import linalg
-from lcslie.algebra import abelian
+from lcslie.algebra import abelian, change_basis
 from lcslie.construct import (
     PreconditionError,
     Representation,
@@ -48,6 +50,11 @@ def structure_of(entry):
     return LCSStructure(entry.algebra(), entry.omega_form(), entry.theta_form())
 
 
+def fractions(matrix):
+    """A sympy matrix of rationals as rows of Fractions."""
+    return [[Fraction(int(x.p), int(x.q)) for x in row] for row in matrix.tolist()]
+
+
 def test_standard_symplectic_gram():
     space = standard_symplectic(4)
     expected = linalg.zeros(4, 4)
@@ -79,7 +86,7 @@ def random_symplectic(rng, dim):
             for j in range(i + 1, dim):
                 gram[i][j] = Fraction(rng.randint(-3, 3))
                 gram[j][i] = -gram[i][j]
-        if linalg.det(gram) != 0:
+        if not linalg.nullspace(gram):
             return SymplecticSpace(dim, gram)
 
 
@@ -93,7 +100,7 @@ def test_is_lcs_representation_matches_the_symmetric_part_oracle():
         dim = rng.choice((2, 4))
         space = random_symplectic(rng, dim)
         omega = space.gram
-        omega_inv = linalg.inv(omega)
+        omega_inv = fractions(sympy.Matrix(omega).inv())
         thetas = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(2)]
         if trial % 2:
             # -theta_1/2 * Id plus an element Omega^-1 B of sp(V, omega_0), B symmetric
@@ -243,6 +250,66 @@ def test_decompose_round_trips_every_recorded_ideal(shipped):
         assert base.algebra.dim + rep.space.dim == g.dim, entry.name
 
 
+def minor_form(coeffs, columns, i, j):
+    """sum_{a<b} c_ab (P_ai P_bj - P_bi P_aj): the 2-form c on columns i and j of P."""
+    return sum(
+        (c * (columns[a - 1][i] * columns[b - 1][j] - columns[b - 1][i] * columns[a - 1][j])
+         for (a, b), c in coeffs.items()),
+        Fraction(0),
+    )
+
+
+def column_form(coeffs, columns, j):
+    """sum_a t_a P_aj: the 1-form t on column j of P."""
+    return sum((c * columns[a - 1][j] for (a,), c in coeffs.items()), Fraction(0))
+
+
+def test_decompose_reads_the_adapted_forms_off_their_coefficients(shipped):
+    # each record with a recorded ideal, written in the basis of the columns of
+    # a seeded unimodular P, in which the ideal is no coordinate subspace; the
+    # adapted forms are checked against the 2 x 2 minors of the adapted basis
+    rng = random.Random(2018)
+    count = 0
+    for entry in shipped:
+        if not isinstance(entry.ideal, tuple):
+            continue
+        structure = structure_of(entry)
+        n = structure.algebra.dim
+        u_basis = []
+        while all(sum(1 for x in u if x) == 1 for u in u_basis):
+            unit = [[int(i == j) for j in range(n)] for i in range(n)]
+            lower = [[rng.randint(-1, 1) if i > j else x for j, x in enumerate(row)]
+                     for i, row in enumerate(unit)]
+            upper = [[rng.randint(-1, 1) if i < j else x for j, x in enumerate(row)]
+                     for i, row in enumerate(unit)]
+            p = sympy.Matrix(lower) * sympy.Matrix(upper)
+            columns, inverse = fractions(p), fractions(p.inv())
+            u_basis = [[row[k - 1] for row in inverse] for k in entry.ideal]
+        omega = KForm(n, 2, {(i + 1, j + 1): minor_form(structure.omega.coeffs, columns, i, j)
+                             for i, j in combinations(range(n), 2)})
+        theta = one_form(n, [column_form(structure.theta.coeffs, columns, j) for j in range(n)])
+        conjugated = LCSStructure(change_basis(structure.algebra, columns), omega, theta)
+
+        base, rep = decompose(conjugated, u_basis)
+
+        # the adapted basis: sympy's kernel of the rows G u, then u
+        gram = sympy.Matrix(conjugated.gram)
+        rows = sympy.Matrix([list(gram * sympy.Matrix(u)) for u in u_basis])
+        perp = [fractions(v.T)[0] for v in rows.nullspace()]
+        adapted = [list(r) for r in zip(*(perp + u_basis))]
+        hd, vd = len(perp), len(u_basis)
+        assert hd == base.algebra.dim and vd == rep.space.dim, entry.name
+        expected = [[minor_form(omega.coeffs, adapted, i, j) for j in range(n)] for i in range(n)]
+        assert base.omega == KForm(hd, 2, {(i + 1, j + 1): expected[i][j]
+                                           for i, j in combinations(range(hd), 2)}), entry.name
+        assert rep.space.gram == [row[hd:] for row in expected[hd:]], entry.name
+        theta_values = [column_form(theta.coeffs, adapted, j) for j in range(n)]
+        assert base.theta == one_form(hd, theta_values[:hd]), entry.name
+        assert not any(theta_values[hd:]), entry.name
+        count += 1
+    assert count == 23
+
+
 def test_decompose_precondition_failures(by_name):
     rr31 = structure_of(by_name["rr3-1"])
     g = rr31.algebra
@@ -270,6 +337,29 @@ def test_ideal_search(by_name):
     assert found == [g.basis_vector(3), g.basis_vector(4)]
 
     assert find_nondegenerate_abelian_ideal(structure_of(by_name["d4-a"])) is None
+
+
+def test_ideal_search_prunes_only_coordinates_off_ker_theta(shipped):
+    # the exhaustive search over every even-dimensional coordinate subspace, in
+    # the same order, finds the same first ideal as the search over ker(theta)
+    count = 0
+    for entry in shipped:
+        if entry.omega is None or not any(entry.theta):
+            continue
+        structure = structure_of(entry)
+        g = structure.algebra
+        exhaustive = None
+        for size in range(2, g.dim + 1, 2):
+            for indices in combinations(range(1, g.dim + 1), size):
+                candidate = [g.basis_vector(i) for i in indices]
+                try:
+                    check_decompose_preconditions(structure, candidate)
+                except PreconditionError:
+                    continue
+                exhaustive = exhaustive or candidate
+        assert find_nondegenerate_abelian_ideal(structure) == exhaustive, entry.name
+        count += 1
+    assert count == 34
 
 
 def test_ideal_search_requires_twisted_structure(by_name):

@@ -1,9 +1,9 @@
 """Exterior algebra and the Chevalley-Eilenberg differential.
 
-The oracles here avoid the implementation's own shortcuts: wedge
-products are checked against the shuffle formula evaluated on basis
-tuples, and d is checked against the direct two-argument formula on
-1-forms plus the Leibniz rule in higher degree.
+The oracles here avoid the implementation's own shortcuts: the wedge
+product of tests/conftest.py is checked against the shuffle formula
+evaluated on basis tuples, and d is checked against the direct
+two-argument formula on 1-forms plus the Leibniz rule in higher degree.
 """
 
 import random
@@ -14,10 +14,9 @@ from math import comb
 import pytest
 
 from lcslie import linalg
-from lcslie.algebra import LieAlgebra
+from lcslie.algebra import LieAlgebra, abelian
 from lcslie.exterior import (
     KForm,
-    adjoint,
     basis_form,
     ce_differential,
     check_jacobi,
@@ -26,11 +25,10 @@ from lcslie.exterior import (
     form_to_vector,
     is_unimodular,
     one_form,
-    pullback,
     vector_to_form,
-    wedge,
     zero_form,
 )
+from lcslie.lcs import gram_matrix
 from lcslie.notation import parse_structure_equations
 
 
@@ -58,7 +56,7 @@ def shuffle_sign(left, right):
     return sign
 
 
-def test_wedge_matches_shuffle_formula():
+def test_wedge_matches_shuffle_formula(wedge):
     rng = random.Random(101)
     for dim, p, q in [(3, 1, 1), (4, 1, 2), (4, 2, 2), (5, 1, 3), (5, 2, 2)]:
         for _ in range(8):
@@ -77,7 +75,7 @@ def test_wedge_matches_shuffle_formula():
                 assert product.coefficient(key) == expected
 
 
-def test_wedge_graded_commutative_and_associative():
+def test_wedge_graded_commutative_and_associative(wedge):
     rng = random.Random(55)
     for _ in range(20):
         dim = rng.randint(3, 5)
@@ -87,26 +85,36 @@ def test_wedge_graded_commutative_and_associative():
         assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
 
 
-def test_wedge_overflow_is_zero():
+def test_wedge_overflow_is_zero(wedge):
     a = basis_form(3, (1, 2))
     b = basis_form(3, (2, 3))
     product = wedge(a, b)
     assert product.degree == 4 and product.is_zero()
 
 
-def test_evaluate_determinant_convention():
+def test_evaluate_determinant_convention(evaluate):
+    """A 2-form is evaluated as x^T G y with its Gram matrix, which must
+    agree with the determinant convention e^12(e1, e2) = 1."""
+
+    def value(omega, x, y):
+        return sum(
+            (a * g * b for a, row in zip(x, gram_matrix(omega)) for g, b in zip(row, y)),
+            Fraction(0),
+        )
+
     e12 = basis_form(4, (1, 2))
     e1 = [Fraction(1), 0, 0, 0]
     e2 = [0, Fraction(1), 0, 0]
-    assert e12.evaluate(e1, e2) == 1
-    assert e12.evaluate(e2, e1) == -1
-    assert e12.evaluate(e1, e1) == 0
+    assert value(e12, e1, e2) == evaluate(e12, e1, e2) == 1
+    assert value(e12, e2, e1) == evaluate(e12, e2, e1) == -1
+    assert value(e12, e1, e1) == evaluate(e12, e1, e1) == 0
     rng = random.Random(2)
-    omega = random_form(rng, 4, 2)
-    x, y = random_vector(rng, 4), random_vector(rng, 4)
-    assert omega.evaluate(x, y) == -omega.evaluate(y, x)
-    two_x = [2 * c for c in x]
-    assert omega.evaluate(two_x, y) == 2 * omega.evaluate(x, y)
+    for _ in range(10):
+        omega = random_form(rng, 4, 2)
+        x, y = random_vector(rng, 4), random_vector(rng, 4)
+        assert value(omega, x, y) == evaluate(omega, x, y) == -value(omega, y, x)
+        two_x = [2 * c for c in x]
+        assert value(omega, two_x, y) == 2 * value(omega, x, y)
 
 
 def test_kform_validation():
@@ -133,7 +141,7 @@ def test_form_basis_is_colexicographic():
     assert vector_to_form(4, 2, vec) == KForm(4, 2, {(2, 4): 5})
 
 
-def test_differential_on_one_forms_is_minus_bracket_dual():
+def test_differential_on_one_forms_is_minus_bracket_dual(evaluate):
     for eq in ["(0,-12,13,0)", "(0,0,-12,0)", "(0,0,-13+24,-14-23)"]:
         g = parse_structure_equations(eq)
         rng = random.Random(17)
@@ -142,10 +150,10 @@ def test_differential_on_one_forms_is_minus_bracket_dual():
             da = ce_differential(g, alpha)
             for i, j in combinations(range(1, g.dim + 1), 2):
                 ei, ej = g.basis_vector(i), g.basis_vector(j)
-                assert da.evaluate(ei, ej) == -alpha.evaluate(g.bracket(ei, ej))
+                assert evaluate(da, ei, ej) == -evaluate(alpha, g.bracket(ei, ej))
 
 
-def test_differential_leibniz_rule():
+def test_differential_leibniz_rule(wedge):
     rng = random.Random(23)
     for eq in ["(0,-12,13,0)", "(14,-24,-12,0)"]:
         g = parse_structure_equations(eq)
@@ -175,7 +183,7 @@ def test_differential_squares_to_zero_all_degrees(shipped, dense):
             )
 
 
-def test_differential_matrix_matches_columnwise(dense, wedge_differential):
+def test_differential_matrix_matches_columnwise(dense, wedge, wedge_differential):
     g = parse_structure_equations("(0,-12,13,0)")
     theta = one_form(4, [1, 0, 0, 0])
     for degree in range(4):
@@ -192,7 +200,7 @@ def test_differential_matrix_matches_columnwise(dense, wedge_differential):
             assert got == expected
 
 
-def test_ce_differential_matches_the_wedge_antiderivation(shipped, wedge_differential):
+def test_ce_differential_matches_the_wedge_antiderivation(shipped, wedge, wedge_differential):
     rng = random.Random(29)
     for entry in shipped:
         g = entry.algebra()
@@ -204,22 +212,16 @@ def test_ce_differential_matches_the_wedge_antiderivation(shipped, wedge_differe
             assert ce_differential(g, a, theta) == expected, entry.name
 
 
-def test_pullback_composes_with_the_basis_change():
-    rng = random.Random(31)
-    for _ in range(10):
-        dim = 4
-        cols = None
-        while cols is None:
-            cand = [[Fraction(rng.randint(-2, 2)) for _ in range(dim)] for _ in range(dim)]
-            if linalg.det(cand) != 0:
-                cols = cand
-        omega = random_form(rng, dim, 2)
-        pulled = pullback(omega, cols)
-        new_basis = [[row[j] for row in cols] for j in range(dim)]
-        for i, j in combinations(range(1, dim + 1), 2):
-            assert pulled.coefficient((i, j)) == omega.evaluate(
-                new_basis[i - 1], new_basis[j - 1]
-            )
+def test_twist_on_the_abelian_algebra_is_minus_the_wedge(wedge):
+    # d = 0 on an abelian algebra, so d_theta(a) = -theta ^ a: recover_lee_form
+    # reads the vectors e^i ^ omega off this twist term
+    rng = random.Random(37)
+    for dim in (2, 4, 6):
+        flat = abelian(dim)
+        for degree in range(dim + 1):
+            a = random_form(rng, dim, degree)
+            theta = random_form(rng, dim, 1)
+            assert ce_differential(flat, a, theta) == -wedge(theta, a)
 
 
 def test_check_jacobi_witness():
@@ -230,26 +232,17 @@ def test_check_jacobi_witness():
     assert check_jacobi(good) == (True, None)
 
 
-def test_adjoint_matrix_action():
-    g = parse_structure_equations("(0,-12,13,0)")
-    rng = random.Random(41)
-    for _ in range(10):
-        x = random_vector(rng, 4)
-        y = random_vector(rng, 4)
-        assert linalg.mat_vec(adjoint(g, x), y) == g.bracket(x, y)
-
-
 def test_is_unimodular_matches_corpus(shipped):
     for entry in shipped:
         if entry.unimodular is not None:
             assert is_unimodular(entry.algebra()) == entry.unimodular, entry.name
 
 
-def test_zero_and_scalar_forms():
+def test_zero_and_scalar_forms(wedge):
     z = zero_form(4, 2)
     assert z.is_zero() and z.degree == 2
     scalar = KForm(4, 0, {(): Fraction(3)})
-    assert scalar.evaluate() == 3
+    assert scalar.coefficient(()) == 3
     assert wedge(scalar, basis_form(4, (1, 2))) == 3 * basis_form(4, (1, 2))
     g = parse_structure_equations("(0,-12,13,0)")
     assert ce_differential(g, scalar).is_zero()

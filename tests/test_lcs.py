@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lcslie import linalg
-from lcslie.exterior import KForm, basis_form, ce_differential, one_form, wedge
+from lcslie.exterior import KForm, basis_form, ce_differential, one_form
 from lcslie.lcs import (
     Kind,
     LCSStructure,
@@ -38,7 +38,7 @@ def test_corpus_records_verify(shipped):
             assert str(LCSStructure(g, omega, theta).verdict.kind) == entry.kind, entry.name
 
 
-def test_check_reports_first_failure():
+def test_check_reports_first_failure(wedge):
     g = parse_structure_equations(RR31)
     theta = one_form(4, [1, 0, 0, 0])
     degenerate = basis_form(4, (1, 2))
@@ -65,7 +65,7 @@ def test_odd_dimension_rejected():
         check_lcs(g, KForm(3, 2, {(1, 2): 1}), one_form(3, [0, 0, 0]))
 
 
-def test_automorphism_algebra_defining_property(shipped):
+def test_automorphism_algebra_defining_property(shipped, evaluate):
     for entry in shipped:
         if entry.omega is None or entry.dim > 4:
             continue
@@ -75,8 +75,8 @@ def test_automorphism_algebra_defining_property(shipped):
             for j in range(1, g.dim + 1):
                 for k in range(j + 1, g.dim + 1):
                     ej, ek = g.basis_vector(j), g.basis_vector(k)
-                    lie = omega.evaluate(g.bracket(x, ej), ek) + omega.evaluate(
-                        ej, g.bracket(x, ek)
+                    lie = evaluate(omega, g.bracket(x, ej), ek) + evaluate(
+                        omega, ej, g.bracket(x, ek)
                     )
                     assert lie == 0, entry.name
 
@@ -91,14 +91,14 @@ def test_automorphism_algebra_of_rr31():
     assert span.coordinates(e2) is not None and span.coordinates(e4) is not None
 
 
-def test_classification_trichotomy(by_name):
+def test_classification_trichotomy(by_name, evaluate):
     for name, kind in [("abelian4", Kind.SYMPLECTIC), ("heis4", Kind.FIRST_KIND), ("rr3-1", Kind.SECOND_KIND)]:
         structure = entry_structure(by_name[name])
         verdict = structure.verdict
         assert verdict.kind is kind
         assert str(verdict.kind) == by_name[name].kind
         assert verdict.lee_values == [
-            structure.theta.evaluate(x) for x in verdict.automorphism_basis
+            evaluate(structure.theta, x) for x in verdict.automorphism_basis
         ]
         assert structure.verdict is verdict  # cached, not recomputed
 
@@ -109,7 +109,7 @@ def test_classify_requires_lcs():
         LCSStructure(g, basis_form(4, (1, 2)), one_form(4, [1, 0, 0, 0]))
 
 
-def test_exactness_produces_a_primitive(by_name):
+def test_exactness_produces_a_primitive(by_name, wedge):
     for name in ["heis4", "d4pd-p", "r2r2"]:
         g, omega, theta = entry_forms(by_name[name])
         eta = LCSStructure(g, omega, theta).primitive
@@ -163,7 +163,7 @@ def test_recover_returns_none_when_unsolvable():
             (3, 4): -1, (3, 5): 1, (4, 5): -1, (4, 6): -1,
         },
     )
-    assert linalg.det(gram_matrix(omega)) != 0
+    assert not linalg.nullspace(gram_matrix(omega))
     assert recover_lee_form(g, omega) is None
 
 

@@ -25,8 +25,7 @@ def test_sign_convention():
     assert g.basis_bracket(1, 2) == frac_vec(0, 1, 0, 0)
     assert g.basis_bracket(1, 3) == frac_vec(0, 0, -1, 0)
     assert g.basis_bracket(2, 3) == frac_vec(0, 0, 0, 0)
-    assert g.structure_constant(1, 2, 2) == 1
-    assert g.structure_constant(2, 1, 2) == -1
+    assert g.basis_bracket(2, 1) == frac_vec(0, -1, 0, 0)
 
 
 def test_bracket_table_is_sparse():
