@@ -64,4 +64,4 @@ base, action = decompose(structure, u_basis)
 print("base algebra:", format_structure_equations(base.algebra))
 print("base omega coefficients:", dict(base.omega.coeffs))
 print("action of the first base generator:", action.mats[0])
-# decompose verified internally that extend() rebuilds g on the nose.
+# decompose checked internally that the product of base and action is g on the nose.

@@ -24,6 +24,7 @@ or unparseable input.
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -31,7 +32,7 @@ from . import construct, corpus, lattice, novikov
 from .algebra import MAX_DIM
 from .corpus import CorpusEntry, CorpusError, parse_params, parse_rational_list
 from .exterior import KForm, is_unimodular, one_form
-from .lcs import LCSStructure
+from .lcs import LCSStructure, gram_matrix
 from .notation import NotationError, StructureEquationSource, format_structure_equations, parse_structure_equations
 
 
@@ -75,7 +76,7 @@ def _one_form_coefficients(form):
 
 
 def _load_targets(args, need_forms):
-    """Resolve the check/cohomology target to (entry, algebra, omega, theta) tuples."""
+    """Resolve the check/cohomology target to (entry, algebra) pairs, --omega/--theta applied."""
     target = args.target
     if target.lstrip().startswith("("):
         source = StructureEquationSource(target, parse_params(getattr(args, "params", None) or ""))
@@ -92,37 +93,32 @@ def _load_targets(args, need_forms):
         targets = [(entry, entry.algebra()) for entry in entries]
     resolved = []
     for entry, g in targets:
-        omega = entry.omega
-        theta = entry.theta
         if getattr(args, "omega", None) is not None:
             if len(targets) > 1:
                 raise UsageError("--omega needs a single record (use --name)")
             omega = parse_rational_list(args.omega, g.dim * (g.dim - 1) // 2, "--omega")
+            entry = replace(entry, omega=omega)
         if getattr(args, "theta", None) is not None:
             if len(targets) > 1:
                 raise UsageError("--theta needs a single record (use --name)")
-            theta = parse_rational_list(args.theta, g.dim, "--theta")
-        resolved.append((entry, g, omega, theta))
+            entry = replace(entry, theta=parse_rational_list(args.theta, g.dim, "--theta"))
+        resolved.append((entry, g))
     if need_forms and len(resolved) == 1:
-        entry, _g, omega, theta = resolved[0]
-        if omega is None or theta is None:
+        entry, _g = resolved[0]
+        if entry.omega is None or entry.theta is None:
             raise UsageError(f"record {entry.name!r} carries no omega/theta; pass --omega/--theta")
     return resolved
 
 
 def cmd_check(args):
-    resolved = _load_targets(args, need_forms=True)
     reports = []
     failed = False
-    for entry, g, omega_c, theta_c in resolved:
-        if omega_c is None or theta_c is None:
+    for entry, g in _load_targets(args, need_forms=True):
+        if entry.omega is None or entry.theta is None:
             reports.append({"name": entry.name, "skipped": "no omega/theta recorded"})
             continue
-        pairs = list(combinations(range(1, g.dim + 1), 2))
-        omega = KForm(g.dim, 2, dict(zip(pairs, omega_c)))
-        theta = one_form(g.dim, theta_c)
         try:
-            structure = LCSStructure(g, omega, theta)
+            structure = LCSStructure(g, entry.omega_form(), entry.theta_form())
         except ValueError as exc:
             failure = str(exc).removeprefix("not an LCS structure: ")
             reports.append({"name": entry.name, "lcs": False, "failure": failure})
@@ -160,30 +156,28 @@ def cmd_check(args):
 
 
 def cmd_cohomology(args):
-    resolved = _load_targets(args, need_forms=False)
     reports = []
-    for entry, g, _omega, theta_c in resolved:
-        theta = one_form(g.dim, theta_c) if theta_c is not None else one_form(g.dim, [0] * g.dim)
-        report = novikov.cohomology(g, theta)
-        reports.append((entry.name, theta_c, report))
+    for entry, g in _load_targets(args, need_forms=False):
+        theta = entry.theta if entry.theta is not None else (Fraction(0),) * g.dim
+        reports.append((entry.name, theta, novikov.cohomology(g, one_form(g.dim, theta))))
     if args.json:
-        payload = []
-        for name, theta_c, rep in reports:
-            dim = len(rep.betti) - 1
-            payload.append({
+        payload = [
+            {
                 "name": name,
-                "theta": [str(c) for c in (theta_c if theta_c is not None else [0] * dim)],
+                "theta": [str(c) for c in theta],
                 "betti": list(rep.betti),
                 "twisted_betti": list(rep.twisted_betti),
-            })
+            }
+            for name, theta, rep in reports
+        ]
         print(json.dumps({"records": payload}, sort_keys=True, indent=2))
     else:
-        for name, theta_c, rep in reports:
-            dim = len(rep.betti) - 1
-            theta_text = _format_vector(theta_c or [0] * dim, [f"e{i}" for i in range(1, dim + 1)])
+        for name, theta, rep in reports:
+            labels = [f"e{i}" for i in range(1, len(theta) + 1)]
             print(f"{name}:")
             print("  betti: " + ",".join(str(b) for b in rep.betti))
-            print(f"  twisted (theta = {theta_text}): " + ",".join(str(b) for b in rep.twisted_betti))
+            print(f"  twisted (theta = {_format_vector(theta, labels)}): "
+                  + ",".join(str(b) for b in rep.twisted_betti))
     return 0
 
 
@@ -219,13 +213,10 @@ def _parse_rep_file(path, hdim):
 
     if "omega0" in fields:
         coeffs = parse_rational_list(fields.pop("omega0"), vdim * (vdim - 1) // 2, "omega0")
-        pairs = list(combinations(range(1, vdim + 1), 2))
-        gram = [[Fraction(0)] * vdim for _ in range(vdim)]
-        for (i, j), c in zip(pairs, coeffs):
-            gram[i - 1][j - 1] = c
-            gram[j - 1][i - 1] = -c
+        pairs = combinations(range(1, vdim + 1), 2)
+        gram = gram_matrix(KForm(vdim, 2, dict(zip(pairs, coeffs))))
         try:
-            space = construct.SymplecticSpace(vdim, tuple(tuple(row) for row in gram))
+            space = construct.SymplecticSpace(vdim, gram)
         except ValueError as exc:
             raise UsageError(f"{path}: omega0: {exc}") from exc
     else:

@@ -8,15 +8,18 @@ exactly when every pi(X) has omega_0-symmetric part -theta(X)/2 times
 the identity, checked as the identity
 pi(X)^T Omega_0 + Omega_0 pi(X) = -theta(X) Omega_0 on the Gram matrix
 Omega_0; the skew parts then form a representation into sp(V, omega_0).
-extend returns the product's LCSStructure, which is always of the second
-kind and never exact.
+The product is assembled in one place, _product, without checks;
+extend verifies it and returns its LCSStructure, which is always of the
+second kind and never exact.
 
 The converse direction splits an LCS algebra along a nondegenerate
 abelian ideal u contained in ker(theta): decompose writes g, omega and
 theta once in the adapted basis (the omega-orthogonal complement h of u,
 then u) and reads the subalgebra h, its structure, omega_0 and the action
-of h on u off their blocks.  Rebuilding the product returns the same
-adapted-basis data.
+of h on u off their blocks.  The product assembled from those pieces
+must equal the adapted-basis data, and decompose compares the two as
+data: they are g, omega and theta in another basis, already verified, so
+the product is not verified again.
 """
 
 from dataclasses import dataclass
@@ -86,7 +89,10 @@ class Representation:
             raise ValueError("representation matrices must match the space dimension")
         object.__setattr__(self, "mats", mats)
         for i, j in combinations(range(1, self.acting.dim + 1), 2):
-            lhs = self.matrix_for(self.acting.basis_bracket(i, j))
+            _, terms = self.acting.bracket_terms(i, j)  # i < j: the stored terms, sign +1
+            lhs = linalg.zeros(d, d)
+            for k, c in terms.items():
+                lhs = linalg.mat_add(lhs, linalg.mat_scale(c, mats[k - 1]))
             rhs = linalg.mat_sub(
                 linalg.mat_mul(mats[i - 1], mats[j - 1]),
                 linalg.mat_mul(mats[j - 1], mats[i - 1]),
@@ -95,14 +101,6 @@ class Representation:
                 raise ValueError(
                     f"not a representation: pi([e{i},e{j}]) != [pi(e{i}), pi(e{j})]"
                 )
-
-    def matrix_for(self, x):
-        """pi(x) for a coordinate vector x of the acting algebra."""
-        out = linalg.zeros(self.space.dim, self.space.dim)
-        for c, m in zip(x, self.mats):
-            if c:
-                out = linalg.mat_add(out, linalg.mat_scale(c, m))
-        return out
 
 
 def is_lcs_representation(rep, theta):
@@ -133,15 +131,25 @@ def is_lcs_representation(rep, theta):
     return CheckResult(True)
 
 
-def _block_form(h_dim, total, omega, space):
-    """omega on the h block, the space Gram on the V block, cross block 0."""
+def _product(structure, rep):
+    """(algebra, omega, theta) of h ltimes_pi V, assembled without any check.
+
+    The basis is the h basis followed by the V basis.  [e_i, v_a] is
+    column a of pi(e_i); omega is omega on the h block, the space Gram on
+    the V block and 0 across; theta is extended by zero on V.
+    """
+    h, omega, theta = structure.algebra, structure.omega, structure.theta
+    hd, vd = h.dim, rep.space.dim
+    total = hd + vd
+    brackets = dict(h.brackets)
+    for i, mat in enumerate(rep.mats, start=1):
+        for a in range(vd):
+            brackets[(i, hd + a + 1)] = {hd + r + 1: mat[r][a] for r in range(vd) if mat[r][a]}
     coeffs = dict(omega.coeffs)
-    for a in range(space.dim):
-        for b in range(a + 1, space.dim):
-            c = space.gram[a][b]
-            if c:
-                coeffs[(h_dim + a + 1, h_dim + b + 1)] = c
-    return KForm(total, 2, coeffs)
+    for a, b in combinations(range(vd), 2):
+        coeffs[(hd + a + 1, hd + b + 1)] = rep.space.gram[a][b]
+    theta_ext = one_form(total, [theta.coefficient((i,)) for i in range(1, hd + 1)] + [0] * vd)
+    return LieAlgebra(total, brackets), KForm(total, 2, coeffs), theta_ext
 
 
 def extend(structure, rep):
@@ -152,27 +160,17 @@ def extend(structure, rep):
     verified as LCS and, for theta != 0, checked to be of the second kind
     and non-exact.
     """
-    h, omega, theta = structure.algebra, structure.omega, structure.theta
+    h, theta = structure.algebra, structure.theta
     if rep.acting != h:
         raise PreconditionError("representation does not act on the given algebra")
     rep_check = is_lcs_representation(rep, theta)
     if not rep_check:
         raise PreconditionError(rep_check.failure, rep_check.witness)
 
-    hd, vd = h.dim, rep.space.dim
-    total = hd + vd
-    brackets = dict(h.brackets)
-    for i in range(1, hd + 1):
-        mat = rep.mats[i - 1]
-        for a in range(vd):
-            brackets[(i, hd + a + 1)] = {hd + r + 1: mat[r][a] for r in range(vd) if mat[r][a]}
-    g = LieAlgebra(total, brackets)
+    g, omega_ext, theta_ext = _product(structure, rep)
     ok, witness = check_jacobi(g)
     if not ok:
         raise RuntimeError(f"extension violates Jacobi on {witness}")
-
-    omega_ext = _block_form(hd, total, omega, rep.space)
-    theta_ext = one_form(total, [theta.coefficient((i,)) for i in range(1, hd + 1)] + [0] * vd)
     extended = LCSStructure(g, omega_ext, theta_ext)
     if not theta.is_zero():
         if extended.verdict.kind is not Kind.SECOND_KIND:
@@ -248,23 +246,29 @@ def decompose(structure, u_basis):
 
     Returns (base, rep): base is the LCS structure induced on the
     omega-orthogonal complement h of u, and rep is the adjoint action of
-    h on u.  g, omega and theta are written once in the adapted basis
-    (complement basis, then u basis), and everything is read off by
-    index: h is the complement block of the brackets, its omega and theta
-    the complement blocks of the forms, omega_0 the u block of omega, and
-    pi(x) the brackets of x with u.  On the adapted basis x_1, ..., x_n
-    the forms are read off their coefficients: omega as x_i^T G x_j and
-    theta as theta(x_j).  Rebuilding with extend must return exactly
-    that adapted-basis data, which is verified here.
+    h on u.  Only a non-exact structure of the second kind splits.  g,
+    omega and theta are written once in the adapted basis (complement
+    basis, then u basis), and everything is read off by index: h is the
+    complement block of the brackets, its omega and theta the complement
+    blocks of the forms, omega_0 the u block of omega, and pi(x) the
+    brackets of x with u.  On the adapted basis x_1, ..., x_n the forms
+    are read off their coefficients: omega as x_i^T G x_j and theta as
+    theta(x_j).  pi must be an LCS representation, and the product
+    assembled from base and rep must equal the adapted-basis data: one
+    comparison of data, since that data is the given, already verified
+    structure in another basis and needs no second verification.
     """
     g = structure.algebra
     u_basis = [[Fraction(x) for x in u] for u in u_basis]
     check_decompose_preconditions(structure, u_basis)
+    if structure.verdict.kind is not Kind.SECOND_KIND:
+        raise RuntimeError("decomposable structure failed to be of the second kind")
+    if structure.primitive is not None:
+        raise RuntimeError("decomposable structure is exact")
 
+    # G is nondegenerate and u independent, so the kernel has dimension n - |u|
     perp = linalg.nullspace([linalg.mat_vec(structure.gram, u) for u in u_basis])
     hd, vd = len(perp), len(u_basis)
-    if hd + vd != g.dim:
-        raise RuntimeError("orthogonal complement has the wrong dimension")
     vectors = perp + u_basis
     adapted = change_basis(g, linalg.transpose(vectors))
     gram = _gram_on(structure.gram, vectors)
@@ -289,17 +293,11 @@ def decompose(structure, u_basis):
         for i in range(1, hd + 1)
     ]
     rep = Representation(h, space, mats)
-
-    if structure.verdict.kind is not Kind.SECOND_KIND:
-        raise RuntimeError("decomposable structure failed to be of the second kind")
-
-    rebuilt = extend(base, rep)
-    if rebuilt.algebra != adapted:
-        raise RuntimeError("round trip does not reproduce the algebra")
-    if rebuilt.omega != omega:
-        raise RuntimeError("round trip does not reproduce omega")
-    if rebuilt.theta != theta:
-        raise RuntimeError("round trip does not reproduce theta")
+    rep_check = is_lcs_representation(rep, base.theta)
+    if not rep_check:
+        raise RuntimeError(f"decomposed representation: {rep_check.failure}")
+    if _product(base, rep) != (adapted, omega, theta):
+        raise RuntimeError("round trip does not reproduce g, omega and theta in the adapted basis")
     return base, rep
 
 

@@ -206,8 +206,8 @@ def recompute(entry):
     unimodular always.  For a pair, the kind, cross-checked against the
     Lee form recovered from omega, the two exactness routes and, on a
     unimodular algebra, exact <=> first kind.  For theta != 0, extn, and
-    for a twisted pair the coordinate ideal that the search finds and the
-    decompose/extend round trip splits.  Undetermined verdicts are None.
+    for a twisted pair the coordinate ideal that the search finds and
+    decompose splits, round trip compared.  Undetermined verdicts are None.
     A failed step or cross-check raises RecomputeError("<step>: <reason>").
     """
     verdicts = dict.fromkeys(VERDICT_FIELDS)

@@ -137,10 +137,10 @@ def rank(rows):
 
 
 def kernel(pivots, ncols):
-    """Right-kernel basis from eliminate's reduced pivot rows.
+    """Right-kernel basis from reduced pivot rows, eliminate's or a Span's.
 
-    One sparse vector per free column f: 1 at f, minus row[f] at each
-    pivot column whose reduced row has an entry at f.
+    One sparse vector per free column f, in increasing f: 1 at f, minus
+    row[f] at each pivot column whose reduced row has an entry at f.
     """
     basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivots}
     for col, row in pivots.items():
@@ -253,17 +253,12 @@ def rank_mod_prime(rows):
 
 
 def nullspace(a):
-    """Basis of the right kernel of a (ncols must be readable from a[0]).
+    """Basis of the right kernel of a (ncols must be readable from a[0]), as dense vectors.
 
-    One vector per non-pivot column f of the reduced rows, in increasing
-    f: 1 at f, and minus the reduced row's entry at f on each pivot column.
+    kernel of the reduced rows of a Span, one vector per non-pivot
+    column in increasing order.
     """
     if not a:
         raise ValueError("cannot infer column count of an empty matrix")
     ncols = len(a[0])
-    rows = Span(a).rows
-    return [
-        [-rows[j].get(f, Fraction(0)) if j in rows else Fraction(int(j == f)) for j in range(ncols)]
-        for f in range(ncols)
-        if f not in rows
-    ]
+    return [[v.get(j, Fraction(0)) for j in range(ncols)] for v in kernel(Span(a).rows, ncols)]

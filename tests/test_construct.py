@@ -7,8 +7,8 @@ from itertools import combinations
 import pytest
 import sympy
 
-from lcslie import linalg
-from lcslie.algebra import abelian, change_basis
+from lcslie import construct, linalg
+from lcslie.algebra import LieAlgebra, abelian, change_basis
 from lcslie.construct import (
     PreconditionError,
     Representation,
@@ -22,7 +22,7 @@ from lcslie.construct import (
     unimodular_extension_dim,
 )
 from lcslie.exterior import KForm, is_unimodular, one_form
-from lcslie.lcs import Kind, LCSStructure, recover_lee_form
+from lcslie.lcs import CheckResult, Kind, LCSStructure, recover_lee_form
 from lcslie.notation import format_structure_equations, parse_structure_equations
 
 R2P = "(0,0,-13+24,-14-23)"
@@ -328,6 +328,39 @@ def test_decompose_precondition_failures(by_name):
         check_decompose_preconditions(heis4, [gh.basis_vector(3), gh.basis_vector(4)])
     with pytest.raises(PreconditionError, match="not abelian"):
         check_decompose_preconditions(heis4, [gh.basis_vector(i) for i in (1, 2, 3, 4)])
+
+
+def test_decompose_refuses_a_symplectic_structure(by_name):
+    # u = (e1, e2) passes every precondition, but theta = 0: the kind is symplectic
+    abelian4 = structure_of(by_name["abelian4"])
+    g = abelian4.algebra
+    u_basis = [g.basis_vector(1), g.basis_vector(2)]
+    check_decompose_preconditions(abelian4, u_basis)
+    with pytest.raises(RuntimeError, match="decomposable structure failed to be of the second kind"):
+        decompose(abelian4, u_basis)
+
+
+def test_decompose_raises_when_the_round_trip_differs(by_name, monkeypatch):
+    structure = structure_of(by_name["rr3-1"])
+    g = structure.algebra
+    u_basis = [g.basis_vector(3), g.basis_vector(4)]
+    with monkeypatch.context() as patch:
+        patch.setattr(construct, "is_lcs_representation", lambda rep, theta: CheckResult(False, "forced"))
+        with pytest.raises(RuntimeError, match="decomposed representation: forced"):
+            decompose(structure, u_basis)
+
+    # an assembly that drops the first stored bracket no longer reproduces g
+    assemble = construct._product
+
+    def lossy(base, rep):
+        algebra, omega, theta = assemble(base, rep)
+        first = next(iter(algebra.brackets))
+        brackets = {key: terms for key, terms in algebra.brackets.items() if key != first}
+        return LieAlgebra(algebra.dim, brackets), omega, theta
+
+    monkeypatch.setattr(construct, "_product", lossy)
+    with pytest.raises(RuntimeError, match="round trip does not reproduce"):
+        decompose(structure, u_basis)
 
 
 def test_ideal_search(by_name):
