@@ -10,7 +10,7 @@ the structure equations) walks this table, so the cost follows its
 nonzeros rather than n^3.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
@@ -56,16 +56,11 @@ class LieAlgebra:
 
     dim: int
     brackets: dict
-    labels: tuple = field(default=None)
 
     def __post_init__(self):
         if not (1 <= self.dim <= MAX_DIM):
             raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {self.dim}")
         object.__setattr__(self, "brackets", _sparse_brackets(self.brackets, self.dim))
-        labels = self.labels or tuple(f"e{i}" for i in range(1, self.dim + 1))
-        if len(labels) != self.dim:
-            raise ValueError("label count does not match dimension")
-        object.__setattr__(self, "labels", tuple(labels))
 
     def __eq__(self, other):
         if not isinstance(other, LieAlgebra):

@@ -44,17 +44,17 @@ class VerificationFailure(Exception):
     pass
 
 
-def _format_vector(coeffs, labels):
+def _format_vector(coeffs):
     parts = []
-    for c, label in zip(coeffs, labels):
+    for i, c in enumerate(coeffs, start=1):
         if not c:
             continue
         if c == 1:
-            parts.append(label)
+            parts.append(f"e{i}")
         elif c == -1:
-            parts.append("-" + label)
+            parts.append(f"-e{i}")
         else:
-            parts.append(f"{c} {label}")
+            parts.append(f"{c} e{i}")
     if not parts:
         return "0"
     out = parts[0]
@@ -132,7 +132,7 @@ def cmd_check(args):
             "exact": structure.primitive is not None,
             "unimodular": is_unimodular(g),
             "automorphism_basis": [[str(c) for c in vec] for vec in verdict.automorphism_basis],
-            "_basis_text": [_format_vector(vec, g.labels) for vec in verdict.automorphism_basis],
+            "_basis_text": [_format_vector(vec) for vec in verdict.automorphism_basis],
         })
     if args.json:
         for report in reports:
@@ -173,10 +173,9 @@ def cmd_cohomology(args):
         print(json.dumps({"records": payload}, sort_keys=True, indent=2))
     else:
         for name, theta, rep in reports:
-            labels = [f"e{i}" for i in range(1, len(theta) + 1)]
             print(f"{name}:")
             print("  betti: " + ",".join(str(b) for b in rep.betti))
-            print(f"  twisted (theta = {_format_vector(theta, labels)}): "
+            print(f"  twisted (theta = {_format_vector(theta)}): "
                   + ",".join(str(b) for b in rep.twisted_betti))
     return 0
 

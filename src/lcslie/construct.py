@@ -1,25 +1,23 @@
 """Semidirect-product construction of LCS algebras of the second kind.
 
 Given an LCS algebra (h, omega, theta) and a representation pi of h on
-a symplectic vector space (V, omega_0), the product h ltimes_pi V
-carries the block form (omega on h, omega_0 on V, blocks orthogonal)
-with the Lee form extended by zero.  That pair is an LCS structure
-exactly when every pi(X) has omega_0-symmetric part -theta(X)/2 times
-the identity, checked as the identity
-pi(X)^T Omega_0 + Omega_0 pi(X) = -theta(X) Omega_0 on the Gram matrix
-Omega_0; the skew parts then form a representation into sp(V, omega_0).
-The product is assembled in one place, _product, without checks;
-extend verifies it and returns its LCSStructure, which is always of the
-second kind and never exact.
+a symplectic space (V, omega_0), the product h ltimes_pi V with the
+block form (omega, omega_0, blocks orthogonal) and theta extended by
+zero is LCS exactly when pi(X)^T Omega_0 + Omega_0 pi(X) = -theta(X)
+Omega_0 for every X: the omega_0-symmetric part of pi(X) is
+-theta(X)/2 times the identity.  _product assembles it without checks;
+extend verifies it and returns its LCSStructure, which is always of
+the second kind and never exact.
 
 The converse direction splits an LCS algebra along a nondegenerate
-abelian ideal u contained in ker(theta): decompose writes g, omega and
-theta once in the adapted basis (the omega-orthogonal complement h of u,
-then u) and reads the subalgebra h, its structure, omega_0 and the action
-of h on u off their blocks.  The product assembled from those pieces
-must equal the adapted-basis data, and decompose compares the two as
-data: they are g, omega and theta in another basis, already verified, so
-the product is not verified again.
+abelian ideal u contained in ker(theta).  Whether basis indices span an
+abelian ideal is read off a bracket table by _block_failure: g's own
+table for the coordinate candidates of find_nondegenerate_abelian_ideal,
+and in decompose the table of the adapted basis (the omega-orthogonal
+complement h of u, then u), written once; h, omega_0 and the action of h
+on u are its blocks.  The product assembled from those pieces must equal
+the adapted-basis data, which is the given, verified structure in
+another basis, so decompose compares the two as data.
 """
 
 from dataclasses import dataclass
@@ -216,82 +214,84 @@ def _gram_on(gram, vectors):
     return out
 
 
-def check_decompose_preconditions(structure, u_basis):
-    """Raise PreconditionError naming the first failed requirement on u."""
-    g, theta = structure.algebra, structure.theta
-    if not u_basis:
-        raise PreconditionError("empty ideal basis")
-    span = linalg.Span(u_basis)
-    if span.rank != len(u_basis):
-        raise PreconditionError("ideal basis is linearly dependent")
-    for i in range(1, g.dim + 1):
-        ei = g.basis_vector(i)
-        for u in u_basis:
-            if span.coordinates(g.bracket(ei, u)) is None:
-                raise PreconditionError("not an ideal", (i, u))
-    for a in range(len(u_basis)):
-        for b in range(a + 1, len(u_basis)):
-            if any(g.bracket(u_basis[a], u_basis[b])):
-                raise PreconditionError("ideal is not abelian", (a + 1, b + 1))
-    kernel = linalg.nullspace(_gram_on(structure.gram, u_basis))
-    if kernel:
-        raise PreconditionError("omega degenerates on the ideal", kernel[0])
-    for u in u_basis:
-        if lee_value(theta, u) != 0:
-            raise PreconditionError("ideal is not contained in ker(theta)", u)
+def _block_failure(brackets, block):
+    """None if the basis indices in block span an abelian ideal, else (reason, failing key (i, j)).
+
+    On a LieAlgebra.brackets table: the span is an ideal when every stored
+    bracket that touches block has its terms in block, and abelian when
+    no stored bracket has both indices in block.
+    """
+    for (i, j), terms in brackets.items():
+        if (i in block or j in block) and not block.issuperset(terms):
+            return "not an ideal", (i, j)
+    for i, j in brackets:
+        if i in block and j in block:
+            return "ideal is not abelian", (i, j)
+    return None
 
 
 def decompose(structure, u_basis):
     """Split g along a nondegenerate abelian ideal u contained in ker(theta).
 
-    Returns (base, rep): base is the LCS structure induced on the
-    omega-orthogonal complement h of u, and rep is the adjoint action of
-    h on u.  Only a non-exact structure of the second kind splits.  g,
-    omega and theta are written once in the adapted basis (complement
-    basis, then u basis), and everything is read off by index: h is the
-    complement block of the brackets, its omega and theta the complement
-    blocks of the forms, omega_0 the u block of omega, and pi(x) the
-    brackets of x with u.  On the adapted basis x_1, ..., x_n the forms
-    are read off their coefficients: omega as x_i^T G x_j and theta as
-    theta(x_j).  pi must be an LCS representation, and the product
-    assembled from base and rep must equal the adapted-basis data: one
-    comparison of data, since that data is the given, already verified
-    structure in another basis and needs no second verification.
+    Returns (base, rep): the LCS structure on the omega-orthogonal
+    complement h of u and the adjoint action of h on u.  PreconditionError
+    names the first failure: u empty, of the wrong length, dependent,
+    omega-degenerate, not an ideal, not abelian, not in ker(theta); then
+    only a non-exact structure of the second kind splits.  g, omega and
+    theta are written once in the adapted basis x_1, ..., x_n (h basis, then
+    u): omega as x_i^T G x_j, theta as theta(x_j), and the ideal tests read
+    the u block of the bracket table.  The brackets of h are the h block
+    with the terms on u dropped, all zero: for x, y in h and v in u,
+    d(omega) = theta ^ omega at (x, y, v) gives omega([x, y], v) = 0, as u
+    is an ideal in ker(theta).  omega_0 is the u block of omega and pi(x)
+    the brackets of x with u.  pi must be an LCS representation, and the
+    product assembled from base and rep must equal the adapted data, the
+    given, verified structure in another basis.
     """
-    g = structure.algebra
+    g, n, vd = structure.algebra, structure.algebra.dim, len(u_basis)
     u_basis = [[Fraction(x) for x in u] for u in u_basis]
-    check_decompose_preconditions(structure, u_basis)
+    if not u_basis:
+        raise PreconditionError("empty ideal basis")
+    if any(len(u) != n for u in u_basis):
+        raise PreconditionError("ideal vectors must have length dim", n)
+    if linalg.Span(u_basis).rank != vd:
+        raise PreconditionError("ideal basis is linearly dependent")
+    gram_u = _gram_on(structure.gram, u_basis)
+    kernel = linalg.nullspace(gram_u)
+    if kernel:
+        raise PreconditionError("omega degenerates on the ideal", kernel[0])
+
+    # G is nondegenerate and u independent, so the kernel has dimension n - |u|
+    perp = linalg.nullspace([linalg.mat_vec(structure.gram, u) for u in u_basis])
+    hd, vectors = len(perp), perp + u_basis
+    adapted = change_basis(g, linalg.transpose(vectors))
+    failure = _block_failure(adapted.brackets, set(range(hd + 1, n + 1)))
+    if failure:
+        reason, (i, j) = failure  # j > hd: the pair (x, u), or positions in u if abelian fails
+        raise PreconditionError(reason, (vectors[i - 1], vectors[j - 1]) if reason == "not an ideal"
+                                else (i - hd, j - hd))
+    theta_values = [lee_value(structure.theta, x) for x in vectors]
+    for u, t in zip(u_basis, theta_values[hd:]):
+        if t:
+            raise PreconditionError("ideal is not contained in ker(theta)", u)
     if structure.verdict.kind is not Kind.SECOND_KIND:
         raise RuntimeError("decomposable structure failed to be of the second kind")
     if structure.primitive is not None:
         raise RuntimeError("decomposable structure is exact")
 
-    # G is nondegenerate and u independent, so the kernel has dimension n - |u|
-    perp = linalg.nullspace([linalg.mat_vec(structure.gram, u) for u in u_basis])
-    hd, vd = len(perp), len(u_basis)
-    vectors = perp + u_basis
-    adapted = change_basis(g, linalg.transpose(vectors))
-    gram = _gram_on(structure.gram, vectors)
-    omega = KForm(g.dim, 2, {(i + 1, j + 1): gram[i][j] for i, j in combinations(range(g.dim), 2)})
-    theta_values = [lee_value(structure.theta, x) for x in vectors]
-    theta = one_form(g.dim, theta_values)
-
-    # the bracket is antisymmetric, so the pairs i < j decide closure
-    h_brackets = {}
-    for (i, j), terms in adapted.brackets.items():
-        if j <= hd:
-            if max(terms) > hd:
-                raise RuntimeError("orthogonal complement is not a subalgebra")
-            h_brackets[(i, j)] = terms
-    h = LieAlgebra(hd, h_brackets)
+    # perp is omega-orthogonal to u, so the adapted Gram is block diagonal
+    gram = [row + [Fraction(0)] * vd for row in _gram_on(structure.gram, perp)]
+    gram += [[Fraction(0)] * hd + row for row in gram_u]
+    omega = KForm(n, 2, {(i + 1, j + 1): gram[i][j] for i, j in combinations(range(n), 2)})
+    theta = one_form(n, theta_values)
+    h = LieAlgebra(hd, {(i, j): {k: c for k, c in terms.items() if k <= hd}
+                        for (i, j), terms in adapted.brackets.items() if j <= hd})
     omega_h = KForm(hd, 2, {key: c for key, c in omega.coeffs.items() if key[1] <= hd})
     base = LCSStructure(h, omega_h, one_form(hd, theta_values[:hd]))
 
-    space = SymplecticSpace(vd, [row[hd:] for row in gram[hd:]])
-    mats = [
-        linalg.transpose([adapted.basis_bracket(i, hd + a)[hd:] for a in range(1, vd + 1)])
-        for i in range(1, hd + 1)
-    ]
+    space = SymplecticSpace(vd, gram_u)
+    mats = [linalg.transpose([adapted.basis_bracket(i, hd + a)[hd:] for a in range(1, vd + 1)])
+            for i in range(1, hd + 1)]
     rep = Representation(h, space, mats)
     rep_check = is_lcs_representation(rep, base.theta)
     if not rep_check:
@@ -307,19 +307,18 @@ def find_nondegenerate_abelian_ideal(structure):
     Searches the even-dimensional coordinate subspaces in order of
     dimension, then of their index tuples.  Only the coordinates e_i
     with theta(e_i) = 0 enter, since any other fails the ker(theta)
-    test.  Returns the basis or None; None means no coordinate subspace
-    qualifies, not that no such ideal exists.
+    test; the rest read the bracket table and the Gram minor.  Returns
+    the basis or None; None means no coordinate subspace qualifies, not
+    that no such ideal exists.
     """
-    g, theta = structure.algebra, structure.theta
+    g, theta, gram = structure.algebra, structure.theta, structure.gram
     if theta.is_zero():
         raise ValueError("theta = 0: the structure is symplectic, not twisted")
     free = [i for i in range(1, g.dim + 1) if not theta.coefficient((i,))]
     for size in range(2, len(free) + 1, 2):
         for indices in combinations(free, size):
-            cand = [g.basis_vector(i) for i in indices]
-            try:
-                check_decompose_preconditions(structure, cand)
-            except PreconditionError:
-                continue
-            return cand
+            if _block_failure(g.brackets, set(indices)) is None and not linalg.nullspace(
+                [[gram[i - 1][j - 1] for j in indices] for i in indices]
+            ):
+                return [g.basis_vector(i) for i in indices]
     return None

@@ -13,7 +13,6 @@ from lcslie.construct import (
     PreconditionError,
     Representation,
     SymplecticSpace,
-    check_decompose_preconditions,
     decompose,
     extend,
     find_nondegenerate_abelian_ideal,
@@ -264,6 +263,31 @@ def column_form(coeffs, columns, j):
     return sum((c * columns[a - 1][j] for (a,), c in coeffs.items()), Fraction(0))
 
 
+def conjugation(rng, n, indices):
+    """(P, the e_k for k in indices in the basis of P's columns) for a seeded
+    unimodular P, drawn again until those vectors are no coordinate vectors."""
+    u_basis = []
+    while all(sum(1 for x in u if x) == 1 for u in u_basis):
+        unit = [[int(i == j) for j in range(n)] for i in range(n)]
+        lower = [[rng.randint(-1, 1) if i > j else x for j, x in enumerate(row)]
+                 for i, row in enumerate(unit)]
+        upper = [[rng.randint(-1, 1) if i < j else x for j, x in enumerate(row)]
+                 for i, row in enumerate(unit)]
+        p = sympy.Matrix(lower) * sympy.Matrix(upper)
+        columns, inverse = fractions(p), fractions(p.inv())
+        u_basis = [[row[k - 1] for row in inverse] for k in indices]
+    return columns, u_basis
+
+
+def conjugate(structure, columns):
+    """The structure written in the basis of the columns."""
+    n = structure.algebra.dim
+    omega = KForm(n, 2, {(i + 1, j + 1): minor_form(structure.omega.coeffs, columns, i, j)
+                         for i, j in combinations(range(n), 2)})
+    theta = one_form(n, [column_form(structure.theta.coeffs, columns, j) for j in range(n)])
+    return LCSStructure(change_basis(structure.algebra, columns), omega, theta)
+
+
 def test_decompose_reads_the_adapted_forms_off_their_coefficients(shipped):
     # each record with a recorded ideal, written in the basis of the columns of
     # a seeded unimodular P, in which the ideal is no coordinate subspace; the
@@ -275,20 +299,9 @@ def test_decompose_reads_the_adapted_forms_off_their_coefficients(shipped):
             continue
         structure = structure_of(entry)
         n = structure.algebra.dim
-        u_basis = []
-        while all(sum(1 for x in u if x) == 1 for u in u_basis):
-            unit = [[int(i == j) for j in range(n)] for i in range(n)]
-            lower = [[rng.randint(-1, 1) if i > j else x for j, x in enumerate(row)]
-                     for i, row in enumerate(unit)]
-            upper = [[rng.randint(-1, 1) if i < j else x for j, x in enumerate(row)]
-                     for i, row in enumerate(unit)]
-            p = sympy.Matrix(lower) * sympy.Matrix(upper)
-            columns, inverse = fractions(p), fractions(p.inv())
-            u_basis = [[row[k - 1] for row in inverse] for k in entry.ideal]
-        omega = KForm(n, 2, {(i + 1, j + 1): minor_form(structure.omega.coeffs, columns, i, j)
-                             for i, j in combinations(range(n), 2)})
-        theta = one_form(n, [column_form(structure.theta.coeffs, columns, j) for j in range(n)])
-        conjugated = LCSStructure(change_basis(structure.algebra, columns), omega, theta)
+        columns, u_basis = conjugation(rng, n, entry.ideal)
+        conjugated = conjugate(structure, columns)
+        omega, theta = conjugated.omega, conjugated.theta
 
         base, rep = decompose(conjugated, u_basis)
 
@@ -314,20 +327,45 @@ def test_decompose_precondition_failures(by_name):
     rr31 = structure_of(by_name["rr3-1"])
     g = rr31.algebra
     with pytest.raises(PreconditionError, match="empty ideal"):
-        check_decompose_preconditions(rr31, [])
+        decompose(rr31, [])
+    for u_basis in ([(0, 0, 1, 0, 0), (0, 0, 0, 1, 0)], [(0, 0, 1), (0, 0, 0, 1)]):
+        with pytest.raises(PreconditionError, match="must have length dim: 4"):
+            decompose(rr31, u_basis)
     with pytest.raises(PreconditionError, match="linearly dependent"):
-        check_decompose_preconditions(rr31, [g.basis_vector(3), g.basis_vector(3)])
+        decompose(rr31, [g.basis_vector(3), g.basis_vector(3)])
     with pytest.raises(PreconditionError, match="not an ideal"):
-        check_decompose_preconditions(rr31, [g.basis_vector(1), g.basis_vector(2)])
+        decompose(rr31, [g.basis_vector(1), g.basis_vector(2)])
     with pytest.raises(PreconditionError, match="degenerates"):
-        check_decompose_preconditions(rr31, [g.basis_vector(2), g.basis_vector(4)])
+        decompose(rr31, [g.basis_vector(2), g.basis_vector(4)])
+    # (e1, e3) is neither nondegenerate nor an ideal: degeneracy is tested first
+    with pytest.raises(PreconditionError, match="degenerates"):
+        decompose(rr31, [g.basis_vector(1), g.basis_vector(3)])
 
     heis4 = structure_of(by_name["heis4"])
     gh = heis4.algebra
     with pytest.raises(PreconditionError, match="not contained in ker"):
-        check_decompose_preconditions(heis4, [gh.basis_vector(3), gh.basis_vector(4)])
-    with pytest.raises(PreconditionError, match="not abelian"):
-        check_decompose_preconditions(heis4, [gh.basis_vector(i) for i in (1, 2, 3, 4)])
+        decompose(heis4, [gh.basis_vector(3), gh.basis_vector(4)])
+    with pytest.raises(PreconditionError, match="not abelian") as failure:
+        decompose(heis4, [gh.basis_vector(i) for i in (1, 3, 2, 4)])
+    # [e1, e2] = e3: the first nonzero bracket of u, at positions 1 and 3 of u
+    assert failure.value.witness == (1, 3)
+    # the witness counts positions in u, not in the adapted basis, here (h, u)
+    r2r2 = structure_of(by_name["r2r2"])
+    with pytest.raises(PreconditionError, match="not abelian") as failure:
+        decompose(r2r2, [r2r2.algebra.basis_vector(3), r2r2.algebra.basis_vector(4)])
+    assert failure.value.witness == (1, 2)
+
+    # rr3-1 in the basis of a seeded unimodular P; u is (e1, e2) in that basis,
+    # on which omega is nondegenerate but [e1, e3] = -e3 leaves u; the witness
+    # is a pair (x, u) whose bracket leaves u
+    columns, u_basis = conjugation(random.Random(2018), 4, (1, 2))
+    conjugated = conjugate(rr31, columns)
+    with pytest.raises(PreconditionError, match="not an ideal") as failure:
+        decompose(conjugated, u_basis)
+    x, u = failure.value.witness
+    assert u in [list(v) for v in u_basis]
+    bracket = conjugated.algebra.bracket(x, u)
+    assert sympy.Matrix(u_basis + [bracket]).rank() == 3
 
 
 def test_decompose_refuses_a_symplectic_structure(by_name):
@@ -335,7 +373,6 @@ def test_decompose_refuses_a_symplectic_structure(by_name):
     abelian4 = structure_of(by_name["abelian4"])
     g = abelian4.algebra
     u_basis = [g.basis_vector(1), g.basis_vector(2)]
-    check_decompose_preconditions(abelian4, u_basis)
     with pytest.raises(RuntimeError, match="decomposable structure failed to be of the second kind"):
         decompose(abelian4, u_basis)
 
@@ -371,28 +408,50 @@ def test_ideal_search(by_name):
 
     assert find_nondegenerate_abelian_ideal(structure_of(by_name["d4-a"])) is None
 
+    # (e3, e4) is an omega-nondegenerate ideal in ker(theta), but [e3, e4] = e4;
+    # (e2, e4) is an abelian ideal on which omega vanishes
+    g = parse_structure_equations("(0,0,0,14-34)")
+    structure = LCSStructure(g, KForm(4, 2, {(1, 2): 1, (3, 4): 1}), one_form(4, [1, 0, 0, 0]))
+    assert find_nondegenerate_abelian_ideal(structure) is None
+
+
+def qualifies(structure, indices):
+    """Whether e_i, i in indices, span an omega-nondegenerate abelian ideal in
+    ker(theta), decided from dense brackets and a sympy determinant."""
+    g = structure.algebra
+    for i in range(1, g.dim + 1):
+        for b in indices:
+            w = g.bracket(g.basis_vector(i), g.basis_vector(b))
+            if any(x for k, x in enumerate(w, start=1) if k not in indices):
+                return False  # not an ideal
+            if i in indices and any(w):
+                return False  # not abelian
+    if any(structure.theta.coefficient((i,)) for i in indices):
+        return False
+    minor = sympy.Matrix([[structure.gram[i - 1][j - 1] for j in indices] for i in indices])
+    return minor.det() != 0
+
 
 def test_ideal_search_prunes_only_coordinates_off_ker_theta(shipped):
     # the exhaustive search over every even-dimensional coordinate subspace, in
-    # the same order, finds the same first ideal as the search over ker(theta)
-    count = 0
+    # the same order and with an independent test, finds the same first ideal as
+    # the search over ker(theta)
+    count = found = 0
     for entry in shipped:
         if entry.omega is None or not any(entry.theta):
             continue
         structure = structure_of(entry)
         g = structure.algebra
-        exhaustive = None
-        for size in range(2, g.dim + 1, 2):
-            for indices in combinations(range(1, g.dim + 1), size):
-                candidate = [g.basis_vector(i) for i in indices]
-                try:
-                    check_decompose_preconditions(structure, candidate)
-                except PreconditionError:
-                    continue
-                exhaustive = exhaustive or candidate
+        exhaustive = next((
+            [g.basis_vector(i) for i in indices]
+            for size in range(2, g.dim + 1, 2)
+            for indices in combinations(range(1, g.dim + 1), size)
+            if qualifies(structure, indices)
+        ), None)
         assert find_nondegenerate_abelian_ideal(structure) == exhaustive, entry.name
         count += 1
-    assert count == 34
+        found += exhaustive is not None
+    assert (count, found) == (34, 23)
 
 
 def test_ideal_search_requires_twisted_structure(by_name):
