@@ -79,6 +79,8 @@ def _load_targets(args, need_forms):
     """Resolve the check/cohomology target to (entry, algebra) pairs, --omega/--theta applied."""
     target = args.target
     if target.lstrip().startswith("("):
+        if args.name is not None:
+            raise UsageError("--name applies only to a corpus file")
         source = StructureEquationSource(target, parse_params(getattr(args, "params", None) or ""))
         g = parse_structure_equations(source)
         targets = [(CorpusEntry(name="inline", source=source, dim=g.dim), g)]
@@ -253,10 +255,7 @@ def cmd_extend(args):
                          "extends to a twisted unimodular product")
     h = entry.algebra()
     space, mats = _parse_rep_file(args.rep_file, h.dim)
-    try:
-        rep = construct.Representation(h, space, tuple(mats))
-    except ValueError as exc:
-        raise VerificationFailure(f"representation check failed: {exc}") from exc
+    rep = construct.Representation(h, space, tuple(mats))
     try:
         extended = construct.extend(LCSStructure(h, entry.omega_form(), theta), rep)
     except construct.PreconditionError as exc:
@@ -400,7 +399,7 @@ def _regress_entry(entry):
 def cmd_regress(args):
     path = args.target if args.target is not None else corpus.default_corpus_path()
     entries = corpus.load_corpus(path)
-    if not entries:
+    if not entries and not args.json:  # --json reports the empty run as data
         print(f"warning: corpus {path} is empty")
         return 0
     results = [_regress_entry(entry) for entry in entries]

@@ -7,7 +7,10 @@ zero is LCS exactly when pi(X)^T Omega_0 + Omega_0 pi(X) = -theta(X)
 Omega_0 for every X: the omega_0-symmetric part of pi(X) is
 -theta(X)/2 times the identity.  _product assembles it without checks;
 extend verifies it and returns its LCSStructure, which is always of
-the second kind and never exact.
+the second kind and never exact.  The law pi([X, Y]) = [pi(X), pi(Y)]
+is checked there once, as the Jacobi identity of the product: with V
+abelian, that identity holds exactly when h satisfies it and pi is a
+representation.
 
 The converse direction splits an LCS algebra along a nondegenerate
 abelian ideal u contained in ker(theta).  Whether basis indices span an
@@ -17,7 +20,9 @@ and in decompose the table of the adapted basis (the omega-orthogonal
 complement h of u, then u), written once; h, omega_0 and the action of h
 on u are its blocks.  The product assembled from those pieces must equal
 the adapted-basis data, which is the given, verified structure in
-another basis, so decompose compares the two as data.
+another basis, so decompose compares the two as data.  By the "exactly
+when" above and the Jacobi identity of g, that comparison also shows
+that the action is an LCS representation.
 """
 
 from dataclasses import dataclass
@@ -72,7 +77,10 @@ def standard_symplectic(dim):
 
 @dataclass(frozen=True)
 class Representation:
-    """Matrices pi(e_i) on V, one per basis vector of the acting algebra."""
+    """Matrices pi(e_i) on V, one per basis vector of the acting algebra.
+
+    Only the shapes are checked here; extend checks the representation law.
+    """
 
     acting: LieAlgebra
     space: SymplecticSpace
@@ -86,19 +94,6 @@ class Representation:
         if any(len(m) != d or any(len(row) != d for row in m) for m in mats):
             raise ValueError("representation matrices must match the space dimension")
         object.__setattr__(self, "mats", mats)
-        for i, j in combinations(range(1, self.acting.dim + 1), 2):
-            _, terms = self.acting.bracket_terms(i, j)  # i < j: the stored terms, sign +1
-            lhs = linalg.zeros(d, d)
-            for k, c in terms.items():
-                lhs = linalg.mat_add(lhs, linalg.mat_scale(c, mats[k - 1]))
-            rhs = linalg.mat_sub(
-                linalg.mat_mul(mats[i - 1], mats[j - 1]),
-                linalg.mat_mul(mats[j - 1], mats[i - 1]),
-            )
-            if lhs != rhs:
-                raise ValueError(
-                    f"not a representation: pi([e{i},e{j}]) != [pi(e{i}), pi(e{j})]"
-                )
 
 
 def is_lcs_representation(rep, theta):
@@ -154,9 +149,18 @@ def extend(structure, rep):
     """The block LCS structure on h ltimes_pi V, as an LCSStructure.
 
     The basis of the algebra is the h basis followed by the V basis.
-    Raises on any precondition failure; the returned structure is
-    verified as LCS and, for theta != 0, checked to be of the second kind
-    and non-exact.
+    Raises PreconditionError when rep acts on another algebra, fails the
+    LCS identity (is_lcs_representation) or is not a representation;
+    the returned structure is verified as LCS and, for theta != 0,
+    checked to be of the second kind and non-exact.
+
+    The representation law is read off check_jacobi on the product.  V
+    is abelian and every [e_i, v_a] lies in V, so the Jacobi sum of a
+    triple with two or three vectors in V is 0, and that of (e_i, e_j,
+    v_a) is (pi([e_i, e_j]) - [pi(e_i), pi(e_j)]) v_a.  A witness
+    (i, j, k), i < j < k, with k > dim h therefore names a pair on which
+    pi is not a homomorphism; one with k <= dim h is a failure of h
+    itself.
     """
     h, theta = structure.algebra, structure.theta
     if rep.acting != h:
@@ -168,7 +172,12 @@ def extend(structure, rep):
     g, omega_ext, theta_ext = _product(structure, rep)
     ok, witness = check_jacobi(g)
     if not ok:
-        raise RuntimeError(f"extension violates Jacobi on {witness}")
+        i, j, k = witness
+        if k > h.dim:
+            raise PreconditionError(
+                f"not a representation: pi([e{i},e{j}]) != [pi(e{i}), pi(e{j})]", witness
+            )
+        raise PreconditionError("acting algebra violates Jacobi", witness)
     extended = LCSStructure(g, omega_ext, theta_ext)
     if not theta.is_zero():
         if extended.verdict.kind is not Kind.SECOND_KIND:
@@ -244,9 +253,10 @@ def decompose(structure, u_basis):
     with the terms on u dropped, all zero: for x, y in h and v in u,
     d(omega) = theta ^ omega at (x, y, v) gives omega([x, y], v) = 0, as u
     is an ideal in ker(theta).  omega_0 is the u block of omega and pi(x)
-    the brackets of x with u.  pi must be an LCS representation, and the
-    product assembled from base and rep must equal the adapted data, the
-    given, verified structure in another basis.
+    the brackets of x with u.  The product assembled from base and rep
+    must equal the adapted data, the given, verified structure in
+    another basis.  That comparison is the only check of pi: the product
+    is then LCS and satisfies Jacobi, so pi is an LCS representation.
     """
     g, n, vd = structure.algebra, structure.algebra.dim, len(u_basis)
     u_basis = [[Fraction(x) for x in u] for u in u_basis]
@@ -293,9 +303,6 @@ def decompose(structure, u_basis):
     mats = [linalg.transpose([adapted.basis_bracket(i, hd + a)[hd:] for a in range(1, vd + 1)])
             for i in range(1, hd + 1)]
     rep = Representation(h, space, mats)
-    rep_check = is_lcs_representation(rep, base.theta)
-    if not rep_check:
-        raise RuntimeError(f"decomposed representation: {rep_check.failure}")
     if _product(base, rep) != (adapted, omega, theta):
         raise RuntimeError("round trip does not reproduce g, omega and theta in the adapted basis")
     return base, rep

@@ -23,10 +23,6 @@ def zeros(rows, cols):
     return [[Fraction(0)] * cols for _ in range(rows)]
 
 
-def identity(n):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)]
 
@@ -38,18 +34,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c, a):
-    return [[c * x for x in row] for row in a]
 
 
 def trace(a):

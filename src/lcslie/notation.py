@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import LieAlgebra
+from .algebra import MAX_DIM, LieAlgebra
 from .exterior import check_jacobi
 
 
@@ -236,6 +236,8 @@ def parse_structure_equations(src, parameters=None):
     dim = len(entries)
     if dim < 1:
         raise NotationError("empty structure-equation tuple")
+    if dim > MAX_DIM:
+        raise NotationError(f"tuple has {dim} entries, more than MAX_DIM = {MAX_DIM}")
 
     differentials = []
     for k, entry in enumerate(entries, start=1):

@@ -95,6 +95,32 @@ def test_check_usage_errors(capsys):
     assert code == 2
 
 
+def test_name_applies_only_to_a_corpus_file(capsys):
+    for argv in (("check", "(0,-12,13,0)", "--omega", "1,0,0,0,0,1", "--theta", "1,0,0,0"),
+                 ("cohomology", "(0,-12,13,0)")):
+        code, out, err = run(capsys, *argv, "--name", "foo")
+        assert code == 2 and out == ""
+        assert "--name applies only to a corpus file" in err
+
+
+def test_more_than_max_dim_entries_is_bad_input(capsys, tmp_path):
+    tuple_text = "(" + ",".join(["0"] * 16) + ")"
+    code, out, err = run(capsys, "cohomology", tuple_text)
+    assert code == 2 and out == ""
+    assert "tuple has 16 entries, more than MAX_DIM = 14" in err
+
+    path = tmp_path / "big.txt"
+    path.write_text(f"name=big dim=16 eq='{tuple_text}'\n")
+    code, out, err = run(capsys, "cohomology", str(path), "--name", "big")
+    assert code == 2 and out == ""
+    assert "more than MAX_DIM = 14" in err
+    # regress reports the record as a failure of its parse step and goes on
+    code, out, _ = run(capsys, "regress", str(path), "--json")
+    assert code == 1
+    (record,) = json.loads(out)["records"]
+    assert record["failures"] == ["parse: tuple has 16 entries, more than MAX_DIM = 14"]
+
+
 def test_cohomology_named_record(capsys):
     code, out, _ = run(capsys, "cohomology", default_corpus_path(), "--name", "gprime")
     assert code == 0
@@ -174,6 +200,18 @@ def test_extend_rejects_incompatible_representation(capsys, tmp_path, small_corp
     )
     assert code == 1
     assert "not compatible" in err
+
+
+def test_extend_rejects_a_non_representation(capsys, tmp_path):
+    # pi(e1) = -Id/2 and pi(e2) nilpotent pass the LCS identity for theta = e^1,
+    # but [pi(e1), pi(e2)] = 0 != pi(e2) = pi([e1,e2])
+    rep = tmp_path / "rep_nonhom.txt"
+    rep.write_text("vdim=2\nmat1=-1/2,0;0,-1/2\nmat2=0,1;0,0\nmat3=0\nmat4=0\n")
+    code, out, err = run(
+        capsys, "extend", default_corpus_path(), "--name", "rr3-1", "--rep-file", str(rep)
+    )
+    assert code == 1 and out == ""
+    assert "not a representation: pi([e1,e2]) != [pi(e1), pi(e2)]" in err
 
 
 def test_extend_rep_file_errors(capsys, tmp_path, small_corpus):
@@ -352,6 +390,10 @@ def test_regress_empty_corpus_warns(capsys, tmp_path):
     code, out, _ = run(capsys, "regress", str(path))
     assert code == 0
     assert "is empty" in out
+    # under --json the empty run is reported as data
+    code, out, _ = run(capsys, "regress", str(path), "--json")
+    assert code == 0
+    assert json.loads(out) == {"records": [], "summary": {"checked": 0, "failed": 0}}
 
 
 def test_regress_env_fallback(capsys, tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from lcslie import construct, linalg
 from lcslie.algebra import LieAlgebra, abelian, change_basis
@@ -21,7 +22,7 @@ from lcslie.construct import (
     unimodular_extension_dim,
 )
 from lcslie.exterior import KForm, is_unimodular, one_form
-from lcslie.lcs import CheckResult, Kind, LCSStructure, recover_lee_form
+from lcslie.lcs import Kind, LCSStructure, recover_lee_form
 from lcslie.notation import format_structure_equations, parse_structure_equations
 
 R2P = "(0,0,-13+24,-14-23)"
@@ -47,6 +48,18 @@ def example_extension_input():
 
 def structure_of(entry):
     return LCSStructure(entry.algebra(), entry.omega_form(), entry.theta_form())
+
+
+def identity(dim):
+    return diag(dim, [1] * dim)
+
+
+def scaled(c, a):
+    return [[c * x for x in row] for row in a]
+
+
+def added(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def fractions(matrix):
@@ -107,24 +120,21 @@ def test_is_lcs_representation_matches_the_symmetric_part_oracle():
             for i in range(dim):
                 for j in range(i, dim):
                     b[i][j] = b[j][i] = Fraction(rng.randint(-2, 2))
-            a = linalg.mat_add(
-                linalg.mat_scale(-thetas[0] / 2, linalg.identity(dim)),
-                linalg.mat_mul(omega_inv, b),
-            )
+            a = added(scaled(-thetas[0] / 2, identity(dim)), linalg.mat_mul(omega_inv, b))
         else:
             a = [[Fraction(rng.randint(-3, 3)) for _ in range(dim)] for _ in range(dim)]
         # pi(e_2) = s * Id commutes with pi(e_1) = A, so the abelian algebra acts;
         # s = 1 fails at e_2 unless theta_2 = -2
         s = 1 if trial % 3 == 0 else -thetas[1] / 2
-        mats = [a, linalg.mat_scale(s, linalg.identity(dim))]
+        mats = [a, scaled(s, identity(dim))]
         rep = Representation(abelian(2), space, mats)
         expected = None
         for i, (m, t) in enumerate(zip(mats, thetas), start=1):
             conj = linalg.mat_mul(omega_inv, linalg.mat_mul(linalg.transpose(m), omega))
-            sym = linalg.mat_scale(Fraction(1, 2), linalg.mat_add(m, conj))
-            diff = linalg.mat_add(sym, linalg.mat_scale(t / 2, linalg.identity(dim)))
+            sym = scaled(Fraction(1, 2), added(m, conj))
+            diff = added(sym, scaled(t / 2, identity(dim)))
             if any(any(row) for row in diff):
-                expected = (i, linalg.mat_scale(2, linalg.mat_mul(omega, diff)))
+                expected = (i, scaled(2, linalg.mat_mul(omega, diff)))
                 break
         result = is_lcs_representation(rep, one_form(2, thetas))
         outcomes.add(expected and expected[0])
@@ -138,18 +148,80 @@ def test_is_lcs_representation_matches_the_symmetric_part_oracle():
     assert outcomes == {None, 1, 2}
 
 
-def test_representation_validates_homomorphism():
-    h = parse_structure_equations("(0,-12,13,0)")
+def test_representation_validates_homomorphism(by_name):
+    rr31 = structure_of(by_name["rr3-1"])
+    h = rr31.algebra
     space = standard_symplectic(2)
     good = [diag(2, [1, -1]), diag(2, [0, 0]), diag(2, [0, 0]), diag(2, [0, 0])]
     Representation(h, space, good)
     # pi(e1) must commute with pi(e2) up to pi([e1,e2]) = pi(e2); the
-    # diagonal pair below gives [pi(e1), pi(e2)] = 0 != pi(e2)
-    bad = [diag(2, [1, -1]), diag(2, [1, 1]), diag(2, [0, 0]), diag(2, [0, 0])]
-    with pytest.raises(ValueError, match="not a representation"):
-        Representation(h, space, bad)
+    # diagonal pair below gives [pi(e1), pi(e2)] = 0 != pi(e2).  Both pass
+    # the LCS identity for theta = e^1, so only extend's Jacobi check refuses
+    # them; the constructor checks shapes only
+    bad = [diag(2, [Fraction(1, 2), Fraction(-3, 2)]), diag(2, [1, -1]),
+           diag(2, [0, 0]), diag(2, [0, 0])]
+    rep = Representation(h, space, bad)
+    assert is_lcs_representation(rep, rr31.theta)
+    with pytest.raises(PreconditionError, match=r"not a representation: pi\(\[e1,e2\]\)"):
+        extend(rr31, rep)
     with pytest.raises(ValueError, match="one matrix per basis vector"):
         Representation(h, space, good[:2])
+
+
+halves = st.sampled_from([Fraction(x, 2) for x in range(-2, 3)])
+
+
+@st.composite
+def symplectic_algebra_element(draw, dim):
+    """Omega_0^-1 B in sp(V, omega_0) for the standard Gram and a drawn symmetric B."""
+    b = linalg.zeros(dim, dim)
+    for i in range(dim):
+        for j in range(i, dim):
+            b[i][j] = b[j][i] = draw(halves)
+    # the standard Gram squares to -Id, so its inverse is its negative
+    return linalg.mat_mul(scaled(-1, standard_symplectic(dim).gram), b)
+
+
+@st.composite
+def rr31_actions(draw):
+    """pi(e1) = -Id/2 + R and pi(e2), pi(e3), pi(e4) in sp(V, omega_0), each sometimes 0:
+    they satisfy the LCS identity for theta = e^1 and are sometimes a representation."""
+    dim = draw(st.sampled_from([2, 4]))
+    zero = diag(dim, [0] * dim)
+    first = added(scaled(Fraction(-1, 2), identity(dim)),
+                  draw(st.one_of(st.just(zero), symplectic_algebra_element(dim))))
+    rest = [draw(st.one_of(st.just(zero), symplectic_algebra_element(dim))) for _ in range(3)]
+    return dim, [first] + rest
+
+
+@settings(max_examples=25, deadline=None)
+@given(rr31_actions())
+def test_extend_refuses_exactly_the_non_representations(by_name, action):
+    # oracle: the first pair i < j with pi([e_i, e_j]) != [pi(e_i), pi(e_j)],
+    # written with dense brackets and matrix products
+    rr31 = structure_of(by_name["rr3-1"])
+    h = rr31.algebra
+    dim, mats = action
+    failing = None
+    for i, j in combinations(range(1, h.dim + 1), 2):
+        bracket = h.bracket(h.basis_vector(i), h.basis_vector(j))
+        image = [[sum((c * m[r][s] for c, m in zip(bracket, mats)), Fraction(0))
+                  for s in range(dim)] for r in range(dim)]
+        commutator = added(linalg.mat_mul(mats[i - 1], mats[j - 1]),
+                           scaled(-1, linalg.mat_mul(mats[j - 1], mats[i - 1])))
+        if image != commutator:
+            failing = (i, j)
+            break
+    rep = Representation(h, standard_symplectic(dim), mats)
+    if failing is None:
+        extended = extend(rr31, rep)
+        assert extended.algebra.dim == 4 + dim
+    else:
+        i, j = failing
+        message = f"not a representation: pi([e{i},e{j}]) != [pi(e{i}), pi(e{j})]"
+        with pytest.raises(PreconditionError) as failure:
+            extend(rr31, rep)
+        assert failure.value.reason == message
 
 
 def test_is_lcs_representation_checks_symmetric_part():
@@ -192,6 +264,15 @@ def test_extend_rejects_bad_input():
     )
     with pytest.raises(PreconditionError, match="symmetric part"):
         extend(LCSStructure(h, omega, theta), bad_rep)
+    # a bracket table that breaks Jacobi on (1, 2, 4) still carries a closed
+    # symplectic form; extend names the triple inside the acting algebra
+    broken = LieAlgebra(4, {(1, 2): {2: 1, 3: 1}, (3, 4): {3: -1}})
+    symplectic = LCSStructure(broken, KForm(4, 2, {(1, 2): -1, (1, 4): -1, (2, 4): -1, (3, 4): 1}),
+                              one_form(4, [0, 0, 0, 0]))
+    zero = diag(2, [0, 0])
+    with pytest.raises(PreconditionError, match="acting algebra violates Jacobi") as failure:
+        extend(symplectic, Representation(broken, standard_symplectic(2), [zero] * 4))
+    assert failure.value.witness == (1, 2, 4)
     other = parse_structure_equations("(0,-12,13,0)")
     with pytest.raises(PreconditionError, match="does not act"):
         extend(
@@ -381,11 +462,6 @@ def test_decompose_raises_when_the_round_trip_differs(by_name, monkeypatch):
     structure = structure_of(by_name["rr3-1"])
     g = structure.algebra
     u_basis = [g.basis_vector(3), g.basis_vector(4)]
-    with monkeypatch.context() as patch:
-        patch.setattr(construct, "is_lcs_representation", lambda rep, theta: CheckResult(False, "forced"))
-        with pytest.raises(RuntimeError, match="decomposed representation: forced"):
-            decompose(structure, u_basis)
-
     # an assembly that drops the first stored bracket no longer reproduces g
     assemble = construct._product
 
@@ -473,7 +549,7 @@ def test_extend_then_decompose_returns_the_inputs(shipped):
         structure = structure_of(entry)
         h, theta = structure.algebra, structure.theta
         space = standard_symplectic(2 * int(n))
-        mats = [linalg.mat_scale(-theta.coefficient((i,)) / 2, linalg.identity(space.dim))
+        mats = [scaled(-theta.coefficient((i,)) / 2, identity(space.dim))
                 for i in range(1, h.dim + 1)]
         extended = extend(structure, Representation(h, space, mats))
         assert is_unimodular(extended.algebra), entry.name

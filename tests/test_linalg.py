@@ -122,7 +122,7 @@ def test_rank_of_empty_and_zero(sparse):
     assert linalg.rank([]) == 0
     assert linalg.rank(sparse([[]])) == 0
     assert linalg.rank(sparse(linalg.zeros(3, 4))) == 0
-    assert linalg.rank(sparse(linalg.identity(5))) == 5
+    assert linalg.rank(sparse([[int(i == j) for j in range(5)] for i in range(5)])) == 5
 
 
 def test_nullspace_vectors_are_in_the_kernel(sparse):
@@ -171,7 +171,5 @@ def test_trace_and_arithmetic_helpers():
     a = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
     b = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
     assert linalg.trace(a) == 5
-    assert linalg.mat_add(a, b) == [[1, 3], [4, 4]]
-    assert linalg.mat_sub(a, b) == [[1, 1], [2, 4]]
-    assert linalg.mat_scale(Fraction(1, 2), a) == [[Fraction(1, 2), 1], [Fraction(3, 2), 2]]
+    assert linalg.mat_mul(a, b) == [[2, 1], [4, 3]]
     assert linalg.transpose(a) == [[1, 3], [2, 4]]

@@ -115,6 +115,12 @@ def test_jacobi_violation_reports_witness():
         parse_structure_equations("(0,-12,-12+34,0)")
 
 
+def test_more_than_max_dim_entries_rejected():
+    with pytest.raises(NotationError, match="tuple has 15 entries, more than MAX_DIM = 14"):
+        parse_structure_equations("(" + ",".join(["0"] * 15) + ")")
+    assert parse_structure_equations("(" + ",".join(["0"] * 14) + ")").dim == 14
+
+
 def test_dimension_ten_needs_bracketed_pairs():
     eq = "(0,0,0,0,0,0,0,0,0,-[1][10])"
     g = parse_structure_equations(eq)
