@@ -13,6 +13,7 @@ nonzeros rather than n^3.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from types import MappingProxyType
 
 from . import linalg
@@ -148,18 +149,24 @@ def abelian(dim):
 
 
 def change_basis(g, columns):
-    """The same algebra expressed in the basis given by the matrix columns."""
+    """The same algebra expressed in the basis given by the matrix columns.
+
+    The rows of [P | I] reduce to [I | P^-1] when P is invertible; when it
+    is singular, a pivot lands right of column n.  The new coordinates of
+    [b_i, b_j] are P^-1 [b_i, b_j], one sparse product for all pairs.
+    """
     n = g.dim
-    new_basis = [[row[j] for row in columns] for j in range(n)]
-    span = linalg.Span(new_basis)
-    if span.rank != n:
+    reduced = linalg.rref([list(row) + g.basis_vector(i) for i, row in enumerate(columns, start=1)])
+    if sorted(reduced) != list(range(n)):
         raise ValueError("matrix is singular")
-    brackets = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            w = g.bracket(new_basis[i - 1], new_basis[j - 1])
-            brackets[(i, j)] = span.coordinates(w)
-    return LieAlgebra(n, brackets)
+    inverse = [{j - n: x for j, x in reduced[i].items() if j >= n} for i in range(n)]
+    new_basis = linalg.transpose(columns)
+    pairs = list(combinations(range(n), 2))
+    images = [{k: x for k, x in enumerate(g.bracket(new_basis[i], new_basis[j])) if x}
+              for i, j in pairs]
+    coordinates = linalg.sparse_mul(images, linalg.sparse_transpose(inverse, n))
+    return LieAlgebra(n, {(i + 1, j + 1): {k + 1: x for k, x in c.items()}
+                          for (i, j), c in zip(pairs, coordinates)})
 
 
 def center(g):

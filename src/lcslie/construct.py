@@ -264,7 +264,7 @@ def decompose(structure, u_basis):
         raise PreconditionError("empty ideal basis")
     if any(len(u) != n for u in u_basis):
         raise PreconditionError("ideal vectors must have length dim", n)
-    if linalg.Span(u_basis).rank != vd:
+    if len(linalg.rref(u_basis)) != vd:
         raise PreconditionError("ideal basis is linearly dependent")
     gram_u = _gram_on(structure.gram, u_basis)
     kernel = linalg.nullspace(gram_u)

@@ -58,7 +58,7 @@ VERDICT_FIELDS = ("unimodular", "kind", "extn", "ideal")
 
 
 class CorpusError(ValueError):
-    """Malformed corpus record; message carries the line number."""
+    """Malformed corpus record; the message carries the line number when parsing."""
 
 
 class RecomputeError(ValueError):
@@ -80,7 +80,10 @@ class CorpusEntry:
     note: str = None
 
     def algebra(self):
-        return parse_structure_equations(self.source)
+        g = parse_structure_equations(self.source)
+        if g.dim != self.dim:
+            raise CorpusError(f"declared dim {self.dim} but tuple has arity {g.dim}")
+        return g
 
     def omega_form(self):
         if self.omega is None:
@@ -214,8 +217,6 @@ def recompute(entry):
     step = "parse"
     try:
         g = entry.algebra()
-        if g.dim != entry.dim:
-            raise ValueError(f"declared dim {entry.dim} but tuple has arity {g.dim}")
         verdicts["unimodular"] = is_unimodular(g)
         omega, theta = entry.omega_form(), entry.theta_form()
         structure = None

@@ -186,11 +186,9 @@ def automorphism_algebra(g, omega):
         lie = [_covector(gram, g.basis_bracket(i, j)) for j in range(1, n + 1)]
         columns.append([lie[j][k] - lie[k][j] for j, k in combinations(range(n), 2)])
     solutions = linalg.nullspace(linalg.transpose(columns))
-    span = linalg.Span(solutions)
-    for a, x in enumerate(solutions):
-        for y in solutions[a + 1 :]:
-            if span.coordinates(g.bracket(x, y)) is None:
-                raise RuntimeError("automorphism space is not bracket-closed")
+    brackets = [g.bracket(x, y) for a, x in enumerate(solutions) for y in solutions[a + 1 :]]
+    if len(linalg.rref(solutions + brackets)) != len(solutions):
+        raise RuntimeError("automorphism space is not bracket-closed")
     return solutions
 
 
@@ -210,13 +208,12 @@ def recover_lee_form(g, omega):
     three_basis = form_basis(n, 3)
     # d vanishes on the abelian algebra, so the twist alone gives d_(-e^i)(omega) = e^i ^ omega
     flat = abelian(n)
-    span = linalg.Span(
-        [form_to_vector(ce_differential(flat, omega, -basis_form(n, (i,))), three_basis)
-         for i in range(1, n + 1)]
-    )
-    if span.rank != n:
+    columns = [form_to_vector(ce_differential(flat, omega, -basis_form(n, (i,))), three_basis)
+               for i in range(1, n + 1)]
+    if len(linalg.rref(columns)) != n:
         raise ValueError("theta is not unique; omega does not determine a Lee form")
-    solution = span.coordinates(form_to_vector(ce_differential(g, omega), three_basis))
+    rows = [{i: x for i, x in enumerate(row) if x} for row in linalg.transpose(columns)]
+    solution = linalg.sparse_solve(rows, n, form_to_vector(ce_differential(g, omega), three_basis))
     if solution is None:
         return None
     theta = vector_to_form(n, 1, solution)

@@ -6,13 +6,11 @@ two nonzeros per row), so they are sparse matrices: lists of rows, each a
 dict {column: entry}.  Their ranks and kernels come from one sparse
 Gauss-Jordan elimination (eliminate), which takes the sparsest rows
 first; rank_mod_prime is a separate elimination over GF(p) that checks
-it.  A subspace that is queried many times (an ideal, an orthogonal
-complement, a new basis) is a Span: its spanning vectors are reduced
-once, and each later query, "the coordinates of x, or None when x is off
-the span", costs one pass over the reduced rows.  The remaining small
-systems (Gram matrices, automorphism algebras, the Lee form) are dense
-lists of rows, and their kernels are read off the reduced rows of a
-Span as well.
+it, and sparse_solve reads one solution off eliminate's kernel.  The
+small systems (Gram matrices, automorphism algebras, a change of basis,
+the Lee form) are dense lists of rows; rref reduces them in order, with
+leftmost pivots, to their reduced row echelon form, whose length is the
+rank and whose kernel nullspace reads off.
 """
 
 from fractions import Fraction
@@ -121,7 +119,7 @@ def rank(rows):
 
 
 def kernel(pivots, ncols):
-    """Right-kernel basis from reduced pivot rows, eliminate's or a Span's.
+    """Right-kernel basis from reduced pivot rows, eliminate's or rref's.
 
     One sparse vector per free column f, in increasing f: 1 at f, minus
     row[f] at each pivot column whose reduced row has an entry at f.
@@ -149,59 +147,32 @@ def sparse_solve(rows, ncols, b):
     return None
 
 
-class Span:
-    """The span of a list of vectors, reduced once for repeated queries.
+def rref(vectors):
+    """Reduced row echelon form of dense vectors: {pivot column: reduced row}.
 
-    The vectors are eliminated as sparse rows, Gauss-Jordan, and each
-    reduced row remembers the combination of the vectors it equals.  rank
-    is the dimension of the span; a vector that depends on the ones
-    before it adds no row.  A row's pivot is its leftmost entry after
-    reduction, and clearing a later pivot column from it adds entries
-    only right of that column, so no row ever holds an entry left of its
-    pivot: rows, {pivot column: reduced row}, is the reduced row echelon
-    form of the vectors.
+    Gauss-Jordan in the given order: each vector is reduced against the
+    rows found so far, and what is left becomes a row, scaled to 1 on its
+    leftmost entry, which is cleared from the earlier rows.  Clearing a
+    later pivot column from a row adds entries only right of that column,
+    so no row holds an entry left of its pivot.  The form depends only on
+    the span of the vectors, and its length is the rank.
     """
-
-    def __init__(self, vectors):
-        self._size = len(vectors)
-        self.rows = {}
-        self._combinations = {}  # pivot column -> {vector index: coefficient}
-        for s, v in enumerate(vectors):
-            row = {j: Fraction(x) for j, x in enumerate(v) if x}
-            combination = {s: Fraction(1)}
-            for hit in [j for j in row if j in self.rows]:
-                c = row[hit]
-                _subtract(row, c, self.rows[hit])
-                _subtract(combination, c, self._combinations[hit])
-            if not row:
-                continue
-            col = min(row)
-            inv_p = 1 / row[col]
-            row = {j: x * inv_p for j, x in row.items()}
-            combination = {t: x * inv_p for t, x in combination.items()}
-            for other, other_row in self.rows.items():
-                c = other_row.get(col)
-                if c:
-                    _subtract(other_row, c, row)
-                    _subtract(self._combinations[other], c, combination)
-            self.rows[col] = row
-            self._combinations[col] = combination
-        self.rank = len(self.rows)
-
-    def coordinates(self, x):
-        """Coefficients c with x = sum_s c[s] vectors[s], or None when x is off the span.
-
-        For dependent vectors this is the solution that is zero on every
-        vector depending on the ones before it.
-        """
-        row = {j: v for j, v in enumerate(x) if v}
-        coords = [Fraction(0)] * self._size
-        for hit in [j for j in row if j in self.rows]:
-            c = row[hit]
-            _subtract(row, c, self.rows[hit])
-            for s, t in self._combinations[hit].items():
-                coords[s] += c * t
-        return None if row else coords
+    rows = {}
+    for v in vectors:
+        row = {j: Fraction(x) for j, x in enumerate(v) if x}
+        for hit in [j for j in row if j in rows]:
+            _subtract(row, row[hit], rows[hit])
+        if not row:
+            continue
+        col = min(row)
+        inv_p = 1 / row[col]
+        row = {j: x * inv_p for j, x in row.items()}
+        for other_row in rows.values():
+            c = other_row.get(col)
+            if c:
+                _subtract(other_row, c, row)
+        rows[col] = row
+    return rows
 
 
 def rank_mod_prime(rows):
@@ -239,10 +210,10 @@ def rank_mod_prime(rows):
 def nullspace(a):
     """Basis of the right kernel of a (ncols must be readable from a[0]), as dense vectors.
 
-    kernel of the reduced rows of a Span, one vector per non-pivot
-    column in increasing order.
+    kernel of rref's rows, one vector per non-pivot column in increasing
+    order.
     """
     if not a:
         raise ValueError("cannot infer column count of an empty matrix")
     ncols = len(a[0])
-    return [[v.get(j, Fraction(0)) for j in range(ncols)] for v in kernel(Span(a).rows, ncols)]
+    return [[v.get(j, Fraction(0)) for j in range(ncols)] for v in kernel(rref(a), ncols)]

@@ -121,6 +121,28 @@ def test_more_than_max_dim_entries_is_bad_input(capsys, tmp_path):
     assert record["failures"] == ["parse: tuple has 16 entries, more than MAX_DIM = 14"]
 
 
+MISDECLARED_LINE = (
+    "name=x dim=6 eq='(0,-12,13,0)' omega=1,0,0,0,0,0,0,0,0,0,0,0,1,0,1 theta=1,0,0,0,0,0"
+)
+
+
+@pytest.mark.parametrize("command", ["check", "cohomology", "extend"])
+def test_a_misdeclared_dim_is_bad_input(capsys, tmp_path, command):
+    path = tmp_path / "misdeclared.txt"
+    path.write_text(MISDECLARED_LINE + "\n")
+    rep = tmp_path / "rep.txt"
+    rep.write_text("vdim=2\nmat1=0\nmat2=0\nmat3=0\nmat4=0\n")
+    extra = ("--rep-file", str(rep)) if command == "extend" else ()
+    code, out, err = run(capsys, command, str(path), "--name", "x", *extra)
+    assert code == 2 and out == ""
+    assert err == "error: declared dim 6 but tuple has arity 4\n"
+    # regress reports the record as a failure of its parse step and goes on
+    code, out, _ = run(capsys, "regress", str(path), "--json")
+    assert code == 1
+    (record,) = json.loads(out)["records"]
+    assert record["failures"] == ["parse: declared dim 6 but tuple has arity 4"]
+
+
 def test_cohomology_named_record(capsys):
     code, out, _ = run(capsys, "cohomology", default_corpus_path(), "--name", "gprime")
     assert code == 0

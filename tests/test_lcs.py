@@ -87,8 +87,15 @@ def test_automorphism_algebra_of_rr31():
     basis = automorphism_algebra(g, omega)
     e2, e4 = g.basis_vector(2), g.basis_vector(4)
     assert len(basis) == 2
-    span = linalg.Span(basis)
-    assert span.coordinates(e2) is not None and span.coordinates(e4) is not None
+    assert len(linalg.rref(basis + [e2, e4])) == 2
+
+
+def test_automorphism_algebra_rejects_a_basis_that_is_not_bracket_closed(by_name, monkeypatch):
+    # on heis4, [e1, e2] = e3 lies outside the span of e1 and e2
+    g, omega, _theta = entry_forms(by_name["heis4"])
+    monkeypatch.setattr(linalg, "nullspace", lambda a: [g.basis_vector(1), g.basis_vector(2)])
+    with pytest.raises(RuntimeError, match="^automorphism space is not bracket-closed$"):
+        automorphism_algebra(g, omega)
 
 
 def test_classification_trichotomy(by_name, evaluate):
@@ -142,7 +149,7 @@ def test_recover_lee_form_from_corpus(shipped):
 
 def test_recover_rejects_degenerate_omega():
     g = parse_structure_equations(RR31)
-    with pytest.raises(ValueError, match="degenerate"):
+    with pytest.raises(ValueError, match="^omega is degenerate"):
         recover_lee_form(g, basis_form(4, (1, 2)))
 
 

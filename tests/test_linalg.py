@@ -159,12 +159,15 @@ def test_solve_consistent_and_inconsistent(sparse):
 
 
 def test_in_span():
+    # x lies in the span of independent vectors exactly when adding it keeps the rank
     v1 = [Fraction(1), Fraction(0), Fraction(1)]
     v2 = [Fraction(0), Fraction(1), Fraction(1)]
-    assert linalg.Span([v1, v2]).coordinates([Fraction(2), Fraction(3), Fraction(5)]) is not None
-    assert linalg.Span([v1, v2]).coordinates([Fraction(0), Fraction(0), Fraction(1)]) is None
-    assert linalg.Span([]).coordinates([Fraction(0), Fraction(0)]) is not None
-    assert linalg.Span([]).coordinates([Fraction(1), Fraction(0)]) is None
+    assert linalg.rref([v1, v2]) == {0: {0: 1, 2: 1}, 1: {1: 1, 2: 1}}
+    assert len(linalg.rref([v1, v2, [Fraction(2), Fraction(3), Fraction(5)]])) == 2
+    assert len(linalg.rref([v1, v2, [Fraction(0), Fraction(0), Fraction(1)]])) == 3
+    assert linalg.rref([[Fraction(0), Fraction(0)]]) == {}
+    assert len(linalg.rref([[Fraction(1), Fraction(0)]])) == 1
+    assert linalg.rref([]) == {}
 
 
 def test_trace_and_arithmetic_helpers():

@@ -9,6 +9,8 @@ family a convenient unrestricted source of (algebra, Lee form) pairs.
 from fractions import Fraction
 from math import comb
 
+import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from lcslie import linalg
@@ -205,28 +207,53 @@ def test_center_is_the_kernel_of_every_ad(g):
     assert center(g) == linalg.nullspace(rows)
 
 
+@st.composite
+def low_rank_matrices(draw):
+    """An m x n product B C with an inner dimension k, so its rank is at most k."""
+    m, n, k = (draw(st.integers(min_value=1, max_value=6)) for _ in range(3))
+    b, c = draw(vectors(k, m)), draw(vectors(n, k))
+    return [[sum((x * c[t][j] for t, x in enumerate(row)), Fraction(0)) for j in range(n)]
+            for row in b]
+
+
 @SETTINGS
-@given(st.integers(min_value=1, max_value=6).flatmap(
-    lambda n: st.tuples(st.integers(min_value=0, max_value=n).flatmap(lambda m: vectors(n, m)),
-                        vectors(n, 1))))
-def test_span_coordinates_agree_with_solve(sparse, data):
-    """Span against sparse_solve, which eliminates by its own code, on the
-    probe and every unit vector; a vector is off the span exactly when
-    adding it raises the rank."""
-    basis, (probe,) = data
-    n = len(probe)
-    span = linalg.Span(basis)
-    assert span.rank == linalg.rank(sparse(basis))
-    if span.rank != len(basis):
-        return
-    columns = sparse(linalg.transpose(basis)) if basis else [{} for _ in range(n)]
-    unit_probes = [[Fraction(int(i == k)) for i in range(n)] for k in range(n)]
-    for x in [probe] + unit_probes:
-        expected = linalg.sparse_solve(columns, len(basis), x)
-        assert span.coordinates(x) == expected
-        on_span = linalg.rank(sparse(basis + [x])) == len(basis)
-        assert (expected is not None) == on_span
-    coefficients = probe[: len(basis)]  # an independent set has at most n vectors
-    combination = [sum((c * v[i] for c, v in zip(coefficients, basis)), Fraction(0))
-                   for i in range(n)]
-    assert span.coordinates(combination) == coefficients
+@given(low_rank_matrices())
+def test_rref_agrees_with_sympy(a):
+    """The same pivot columns and the same reduced rows as Matrix.rref()."""
+    expected, pivots = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                                     for row in a]).rref()
+    reduced = linalg.rref(a)
+    assert sorted(reduced) == list(pivots)
+    for r, col in enumerate(pivots):
+        assert [reduced[col].get(j, 0) for j in range(len(a[0]))] == [
+            Fraction(int(x.p), int(x.q)) for x in expected.row(r)]
+
+
+@SETTINGS
+@given(almost_abelian(), st.randoms(use_true_random=False))
+def test_change_basis_brackets_map_back_under_p(data, rng):
+    """P [e_i, e_j]_new = [P e_i, P e_j]_old for an invertible integer P = L U,
+    L unit lower and U upper triangular with diagonal entries +-1, +-2."""
+    g, _theta, _action = data
+    n = g.dim
+    lower = [[1 if i == j else rng.randint(-2, 2) * (i > j) for j in range(n)] for i in range(n)]
+    upper = [[rng.choice((-2, -1, 1, 2)) if i == j else rng.randint(-2, 2) * (i < j)
+              for j in range(n)] for i in range(n)]
+    p = linalg.mat_mul(lower, upper)
+    h = change_basis(g, p)
+    columns = linalg.transpose(p)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            assert linalg.mat_vec(p, h.basis_bracket(i, j)) == g.bracket(columns[i - 1],
+                                                                       columns[j - 1])
+
+
+@pytest.mark.parametrize("p", [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 0]],  # a zero column
+    [[1, 2, 1], [0, 1, 0], [3, 1, 3]],  # the first column repeated
+    [[1, 0, 1], [0, 1, 1], [0, 0, 0]],  # independent but for the last column
+])
+def test_change_basis_rejects_a_singular_matrix(p):
+    g = parse_structure_equations("(0,-12,13)")
+    with pytest.raises(ValueError, match="^matrix is singular$"):
+        change_basis(g, p)
