@@ -16,12 +16,8 @@ pairwise.
 
 import math
 
-from lcslie.lattice import (
-    build_certificate,
-    certificate_report,
-    char_poly_exact,
-    distinguish_solvmanifolds,
-)
+from lcslie.lattice import build_certificate, certificate_report, distinguish_solvmanifolds
+from lcslie.linalg import char_poly_exact
 
 # One certificate in full.
 cert = build_certificate(3)

@@ -22,6 +22,7 @@ or unparseable input.
 """
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -428,7 +429,9 @@ def cmd_regress(args):
     return 1 if failed else 0
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and shared by every later main()."""
     parser = argparse.ArgumentParser(
         prog="lcslie",
         description="Locally conformal symplectic structures on Lie algebras.",

@@ -106,10 +106,18 @@ def parse_rational_list(text, expected, what, lineno=None):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != expected:
         raise CorpusError(f"{_at(lineno)}{what} needs {expected} entries, got {len(parts)}")
+    return tuple(_rational(p, what, lineno) for p in parts)
+
+
+def _rational(token, what, lineno):
     try:
-        return tuple(Fraction(p) for p in parts)
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(token)
+    except ValueError as exc:
         raise CorpusError(f"{_at(lineno)}bad rational in {what}: {exc}") from exc
+    except ZeroDivisionError as exc:
+        raise CorpusError(
+            f"{_at(lineno)}bad rational in {what}: {token!r} has a zero denominator"
+        ) from exc
 
 
 def parse_params(text, lineno=None):

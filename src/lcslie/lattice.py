@@ -12,16 +12,24 @@ and det P_m != 0, checked exactly in Z[lambda], are the lattice
 certificate.  An element a + b lambda is zero iff a = b = 0, because
 lambda is irrational (m^2 - 4 is not a square for m > 2).
 
+det P_m comes from Bareiss's fraction-free elimination, O(n^3) ring
+operations where cofactor expansion takes n! terms.  Each update
+divides by the previous pivot, and the division is exact: every
+intermediate entry is a minor of the input (Sylvester's identity), so
+it lies in Z[lambda].  It is computed through the conjugate
+lambda -> lambda^-1 = m - lambda: y conj(y) = N(y) = a^2 + m a b + b^2
+for y = a + b lambda, an integer that is nonzero for y != 0, so
+x / y = x conj(y) / N(y) divides two integers by N(y).
+
 The quotient manifolds are distinguished pairwise by the integer
-characteristic polynomials of their integer models.  No floating point
-enters a verdict; t_m is reported as a float only.
+characteristic polynomials of their integer models, computed once per
+certificate.  No floating point enters a verdict; t_m is reported as a
+float only.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from math import log, log1p, sqrt
-
-from . import linalg
 
 # ad of the expanding direction on R^6, basis (e3, e6, e5, e4, e7, e8):
 # the diagonal, so phi(t) = diag(e^(t g) for g in PHI_GENERATOR).
@@ -43,30 +51,66 @@ def _mul(x, y, m):
     return (a * c - b * d, a * d + b * c + m * b * d)
 
 
-def _add(x, y):
-    return (x[0] + y[0], x[1] + y[1])
+def _divide_exactly(x, y, m):
+    """x / y for a nonzero y that divides x in Z[lambda].
+
+    The conjugate of y = a + b lambda is a + b lambda^-1 = (a + b m) - b lambda,
+    and y conj(y) = N(y) = a^2 + m a b + b^2 is an integer, so
+    x / y = x conj(y) / N(y).  A remainder means the caller's exactness
+    invariant broke.
+    """
+    if y == _ONE:
+        return x
+    a, b = y
+    norm = a * a + m * a * b + b * b
+    u, v = _mul(x, (a + b * m, -b), m)
+    qu, ru = divmod(u, norm)
+    qv, rv = divmod(v, norm)
+    if ru or rv:
+        raise RuntimeError(f"inexact division in Z[lambda] for m={m}: {x} / {y}")
+    return (qu, qv)
 
 
 def _times_integer_matrix(p, d):
-    """P D for P over Z[lambda] and D over Z."""
+    """P D for P over Z[lambda] and D over Z, visiting only D's nonzero entries."""
+    columns = [[(k, c) for k, c in enumerate(col) if c] for col in zip(*d)]
     return [
-        [tuple(sum(x[t] * c for x, c in zip(row, col)) for t in (0, 1)) for col in zip(*d)]
+        [(sum(row[k][0] * c for k, c in col), sum(row[k][1] * c for k, c in col))
+         for col in columns]
         for row in p
     ]
 
 
 def _det(mat, m):
-    """Determinant over Z[lambda] by cofactor expansion along the first row."""
-    if not mat:
-        return _ONE
-    total = _ZERO
-    for j, entry in enumerate(mat[0]):
-        if entry == _ZERO:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        a, b = _mul(entry, _det(minor, m), m)
-        total = _add(total, (-a, -b) if j % 2 else (a, b))
-    return total
+    """Determinant over Z[lambda] by Bareiss fraction-free elimination.
+
+    Step k takes the first row at or below k with a nonzero entry in
+    column k as the pivot row (a swap flips the sign) and sets
+    a_ij <- (a_kk a_ij - a_ik a_kj) / p for i, j > k, where p is the
+    previous pivot (1 at the first step).  By Sylvester's identity the
+    new a_ij is a (k+2)-minor of the input, so the division is exact;
+    _divide_exactly performs it through the norm.  The last pivot is
+    the determinant up to the sign; a column with no pivot makes it zero.
+    """
+    a = [list(row) for row in mat]
+    n = len(a)
+    sign, prev = 1, _ONE
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k] != _ZERO), None)
+        if pivot is None:
+            return _ZERO
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        row_k, a_kk = a[k], a[k][k]
+        for i in range(k + 1, n):
+            row_i, a_ik = a[i], a[i][k]
+            for j in range(k + 1, n):
+                u, v = _mul(a_kk, row_i[j], m)
+                s, t = _mul(a_ik, row_k[j], m)
+                row_i[j] = _divide_exactly((u - s, v - t), prev, m)
+        prev = a_kk
+    return prev if sign > 0 else (-prev[0], -prev[1])
 
 
 def _twice(block, zero):
@@ -101,7 +145,10 @@ def companion_matrix(coeffs):
     Ones on the subdiagonal; the last column holds the negated
     coefficients, constant term on top.
     """
-    coeffs = [int(c) for c in coeffs]
+    coeffs = list(coeffs)
+    bad = [c for c in coeffs if not isinstance(c, int)]
+    if bad:
+        raise ValueError(f"companion_matrix needs integer coefficients, got {bad[0]!r}")
     d = len(coeffs)
     if d == 0:
         raise ValueError("need at least one non-leading coefficient")
@@ -111,23 +158,6 @@ def companion_matrix(coeffs):
     for i in range(d):
         mat[i][d - 1] = -coeffs[d - 1 - i]
     return mat
-
-
-def char_poly_exact(mat):
-    """Integer characteristic polynomial coefficients, descending powers.
-
-    Faddeev-LeVerrier over Fractions; exact for exact input.
-    """
-    n = len(mat)
-    m = [[Fraction(x) for x in row] for row in mat]
-    coeffs = [Fraction(1)]
-    work = [row[:] for row in linalg.zeros(n, n)]
-    for k in range(1, n + 1):
-        for i in range(n):
-            work[i][i] += coeffs[-1]
-        work = linalg.mat_mul(m, work)
-        coeffs.append(-linalg.trace(work) / k)
-    return tuple(int(c) if c.denominator == 1 else c for c in coeffs)
 
 
 @dataclass(frozen=True)
@@ -155,6 +185,12 @@ class LatticeCertificate:
     @property
     def t_m(self):
         return t_parameter(self.m)
+
+    @cached_property
+    def model_char_poly(self):
+        """Characteristic polynomial (x - 1) p_m(x)^2 of R_m = diag(1, D_m)."""
+        p = family_char_poly(self.m)
+        return tuple(_poly_mul([1, -1], _poly_mul(p, p)))
 
 
 def build_certificate(m):
@@ -184,12 +220,6 @@ def _poly_mul(p, q):
     return out
 
 
-def _model_char_poly(cert):
-    """Characteristic polynomial (x - 1) p_m(x)^2 of R_m = diag(1, D_m)."""
-    p = family_char_poly(cert.m)
-    return _poly_mul([1, -1], _poly_mul(p, p))
-
-
 def distinguish_solvmanifolds(cert_m, cert_n):
     """True iff the quotients of two certificates cannot be homeomorphic.
 
@@ -199,9 +229,10 @@ def distinguish_solvmanifolds(cert_m, cert_n):
     and that of R_n^-1 separates them.  The latter is the reversed
     polynomial of R_n divided by its constant term; comparing against
     the product keeps it integral.  For this family the test is true
-    exactly when m != n.
+    exactly when m != n.  Both polynomials are read off the certificates,
+    which compute them once.
     """
-    f_m = _model_char_poly(cert_m)
-    f_n = _model_char_poly(cert_n)
-    reciprocal = [c * f_n[-1] for c in f_m] == f_n[::-1]
+    f_m = cert_m.model_char_poly
+    f_n = cert_n.model_char_poly
+    reciprocal = tuple(c * f_n[-1] for c in f_m) == f_n[::-1]
     return f_m != f_n and not reciprocal

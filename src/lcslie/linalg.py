@@ -10,7 +10,8 @@ it, and sparse_solve reads one solution off eliminate's kernel.  The
 small systems (Gram matrices, automorphism algebras, a change of basis,
 the Lee form) are dense lists of rows; rref reduces them in order, with
 leftmost pivots, to their reduced row echelon form, whose length is the
-rank and whose kernel nullspace reads off.
+rank and whose kernel nullspace reads off; char_poly_exact gives the
+characteristic polynomial of a small dense matrix.
 """
 
 from fractions import Fraction
@@ -36,6 +37,24 @@ def mat_vec(a, v):
 
 def trace(a):
     return sum((a[i][i] for i in range(len(a))), Fraction(0))
+
+
+def char_poly_exact(mat):
+    """Characteristic polynomial coefficients, descending powers, monic.
+
+    Faddeev-LeVerrier over Fractions; exact for exact input.  Integral
+    coefficients come back as ints.
+    """
+    n = len(mat)
+    a = [[Fraction(x) for x in row] for row in mat]
+    coeffs = [Fraction(1)]
+    work = zeros(n, n)
+    for k in range(1, n + 1):
+        for i in range(n):
+            work[i][i] += coeffs[-1]
+        work = mat_mul(a, work)
+        coeffs.append(-trace(work) / k)
+    return tuple(int(c) if c.denominator == 1 else c for c in coeffs)
 
 
 # A sparse matrix is a list of rows, each a dict {column: nonzero entry};

@@ -48,6 +48,24 @@ def conjugation_failures():
     return _conjugation_failures
 
 
+def _cofactor_det(mat, m):
+    """Determinant over Z[lam] by cofactor expansion along the first row, n! terms."""
+    if not mat:
+        return (1, 0)
+    total = (0, 0)
+    for j, entry in enumerate(mat[0]):
+        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
+        a, b = _ring_mul(entry, _cofactor_det(minor, m), m)
+        sign = -1 if j % 2 else 1
+        total = (total[0] + sign * a, total[1] + sign * b)
+    return total
+
+
+@pytest.fixture(scope="session")
+def cofactor_det():
+    return _cofactor_det
+
+
 @pytest.fixture(scope="session")
 def dense():
     """The dense list-of-rows form of a sparse matrix with ncols columns."""

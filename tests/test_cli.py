@@ -288,6 +288,20 @@ def test_extend_bounds_vdim_by_max_dim(capsys, tmp_path):
     assert code == 2 and "vdim must be at most MAX_DIM - 4 = 10" in err
 
 
+def test_a_zero_denominator_names_the_token(capsys, tmp_path):
+    code, _, err = run(
+        capsys, "check", "(0,-12,13,0)", "--omega", "1,0,0,0,0,1", "--theta", "1/0,0,0,0"
+    )
+    assert code == 2
+    assert err == "error: bad rational in --theta: '1/0' has a zero denominator\n"
+    path = tmp_path / "zero.txt"
+    path.write_text("# one record\nname=z dim=4 eq='(0,-12,13,0)' omega=1,0,0,0,0,1 "
+                    "theta=1/0,0,0,0\n")
+    code, _, err = run(capsys, "regress", str(path))
+    assert code == 2
+    assert err == "error: line 2: bad rational in theta: '1/0' has a zero denominator\n"
+
+
 def test_lattice_single_member(capsys):
     code, out, _ = run(capsys, "lattice", "--m", "3")
     assert code == 0
@@ -503,6 +517,22 @@ def test_lattice_builds_each_certificate_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "lattice", "--range", "3:7", "--distinguish", "--json")
     assert code == 0
     assert len(builds) == 5
+
+
+def test_lattice_pairs_build_no_model_polynomials(capsys, monkeypatch):
+    # 15 pairs for 3:7, 55 for 3:12; the model polynomials are built per certificate
+    per_certificate = []
+    for window, size in (("3:7", 5), ("3:12", 10)):
+        calls = counting(monkeypatch, lattice, "family_char_poly")
+        code, _, _ = run(capsys, "lattice", "--range", window, "--distinguish", "--json")
+        assert code == 0
+        per_certificate.append(len(calls) / size)
+        monkeypatch.undo()
+    assert per_certificate[0] == per_certificate[1]
+
+
+def test_the_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_cli_imports_neither_numpy_nor_scipy():

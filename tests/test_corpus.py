@@ -57,6 +57,8 @@ def test_optional_fields_default_to_none():
         ("name=x dim=4 eq='(0,0,0,0)' omega=1,0", "omega needs 6 entries"),
         ("name=x dim=4 eq='(0,0,0,0)' theta=1,0", "theta needs 4 entries"),
         ("name=x dim=4 eq='(0,0,0,0)' omega=1,0,0,0,0,z", "bad rational in omega"),
+        ("name=x dim=4 eq='(0,0,0,0)' theta=1/0,0,0,0",
+         "^line 7: bad rational in theta: '1/0' has a zero denominator$"),
         ("name=x dim=4 eq='(0,0,0,0)' kind=third", "kind must be"),
         ("name=x dim=4 eq='(0,0,0,0)' unimodular=maybe", "unimodular must be yes or no"),
         ("name=x dim=4 eq='(0,0,0,0)' extn=two", "bad extn value"),

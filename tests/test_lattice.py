@@ -3,20 +3,23 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lcslie import lattice
 from lcslie.lattice import (
     LatticeCertificate,
     build_certificate,
     certificate_report,
-    char_poly_exact,
     companion_matrix,
     distinguish_solvmanifolds,
     family_char_poly,
     t_parameter,
 )
+from lcslie.linalg import char_poly_exact
 
 
 def test_t_parameter_inverts_cosh():
@@ -50,6 +53,14 @@ def test_companion_matrix_has_prescribed_char_poly():
         assert np.allclose(oracle, np.array([1] + coeffs, dtype=float), atol=1e-8)
     with pytest.raises(ValueError, match="at least one"):
         companion_matrix([])
+
+
+@pytest.mark.parametrize("coeffs", [[1.5, -2.7], [Fraction(1, 2)], [3, 2.0], [Fraction(4)]])
+def test_companion_matrix_refuses_non_integer_coefficients(coeffs):
+    # int() would truncate them: [1.5, -2.7] gave [[0, 2], [1, -1]], and
+    # [1/2] gave [[0]], the companion matrix of x rather than x + 1/2
+    with pytest.raises(ValueError, match="integer coefficients"):
+        companion_matrix(coeffs)
 
 
 def test_char_poly_exact_satisfies_cayley_hamilton():
@@ -92,6 +103,72 @@ def test_certificate_check_can_fail():
         LatticeCertificate(5, right.d_m, singular)
 
 
+def test_a_conjugating_but_singular_p_is_refused(conjugation_failures):
+    # diag(Q_5, 0) satisfies phi P = P D, since D_5 = diag(C_5, C_5) is block
+    # diagonal, so only the determinant can refuse it
+    right = build_certificate(5)
+    pad = ((0, 0),) * 3
+    p = tuple(row[:3] + pad for row in right.p_m[:3]) + (pad + pad,) * 3
+    assert conjugation_failures(SimpleNamespace(m=5, d_m=right.d_m, p_m=p)) == []
+    with pytest.raises(RuntimeError, match="conjugator for m=5 is singular"):
+        LatticeCertificate(5, right.d_m, p)
+
+
+def test_certificate_determinants_match_the_cofactor_oracle(cofactor_det):
+    for m in (3, 4, 9, 1325, 10**5):
+        p_m = build_certificate(m).p_m
+        det = lattice._det(p_m, m)
+        assert det != (0, 0)
+        assert det == cofactor_det(p_m, m)
+
+
+RING = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+
+
+@st.composite
+def det_inputs(draw):
+    """(m, matrix over Z[lambda], singular); the shapes force singular draws and a row swap."""
+    m = draw(st.integers(3, 50))
+    n = draw(st.integers(1, 6))
+    mat = [[draw(RING) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(
+        ["dense", "zero lead", "zero column", "repeated row", "multiple row"]))
+    i, j = draw(st.permutations(range(n)))[:2] if n > 1 else (0, 0)
+    if shape == "zero lead":
+        mat[0][0] = (0, 0)
+    elif shape == "zero column":
+        for row in mat:
+            row[j] = (0, 0)
+    elif shape == "repeated row" and n > 1:
+        mat[j] = list(mat[i])
+    elif shape == "multiple row" and n > 1:
+        q = draw(RING)
+        mat[j] = [lattice._mul(q, x, m) for x in mat[i]]
+    singular = shape == "zero column" or (n > 1 and shape in ("repeated row", "multiple row"))
+    return m, mat, singular
+
+
+@settings(max_examples=150, deadline=None)
+@given(det_inputs())
+def test_bareiss_determinant_agrees_with_cofactor_expansion(cofactor_det, case):
+    m, mat, singular = case
+    det = lattice._det(mat, m)
+    assert det == cofactor_det(mat, m)
+    if singular:
+        assert det == (0, 0)
+
+
+def test_inexact_division_raises():
+    m = 5
+    assert lattice._divide_exactly(lattice._mul((2, 3), (1, -4), m), (1, -4), m) == (2, 3)
+    assert lattice._divide_exactly((7, -1), (1, 0), m) == (7, -1)
+    # 1 / 2 and lambda / (1 + lambda) are not in Z[lambda]
+    with pytest.raises(RuntimeError, match="inexact division"):
+        lattice._divide_exactly((1, 0), (2, 0), m)
+    with pytest.raises(RuntimeError, match="inexact division"):
+        lattice._divide_exactly((0, 1), (1, 1), m)
+
+
 def test_certificate_report_text():
     text = certificate_report(build_certificate(3))
     assert "m = 3" in text
@@ -104,3 +181,15 @@ def test_distinction_is_exactly_inequality():
     for m, cert_m in certs.items():
         for n, cert_n in certs.items():
             assert distinguish_solvmanifolds(cert_m, cert_n) == (m != n), (m, n)
+
+
+def test_model_char_poly_is_computed_once(monkeypatch):
+    cert = build_certificate(7)
+    p = family_char_poly(7)
+    expected = np.polymul([1, -1], np.polymul(p, p))
+    calls = []
+    original = lattice.family_char_poly
+    monkeypatch.setattr(lattice, "family_char_poly", lambda m: calls.append(m) or original(m))
+    assert cert.model_char_poly == tuple(int(c) for c in expected)
+    assert cert.model_char_poly is cert.model_char_poly
+    assert calls == [7]

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from lcslie import linalg
-from lcslie.lattice import char_poly_exact
+from lcslie.linalg import char_poly_exact
 
 
 def random_matrix(rng, rows, cols, denominators=(1, 2, 3)):

@@ -24,7 +24,7 @@ from lcslie.exterior import (
     is_unimodular,
     one_form,
 )
-from lcslie.lattice import char_poly_exact
+from lcslie.linalg import char_poly_exact
 from lcslie.notation import format_structure_equations, parse_structure_equations
 from lcslie.novikov import cohomology
 
