@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 from types import MappingProxyType
 
 from . import linalg
@@ -80,6 +81,23 @@ class LieAlgebra:
             for m, c in terms.items():
                 table[m].append((i, j, -c))
         return table
+
+    @cached_property
+    def d_masks(self):
+        """(L, [(bit of e^m, [(bits of e^ij, bits of the indices between i and j, L x)])]).
+
+        The nonzero rows of d_table on bitmasks (bit i-1 for e^i), with L the
+        least positive integer that makes every entry integral.
+        """
+        scale = lcm(*(x.denominator for terms in self.d_table.values() for _, _, x in terms))
+        table = []
+        for m, terms in self.d_table.items():
+            if terms:
+                table.append((1 << m - 1, [
+                    (1 << i - 1 | 1 << j - 1, (1 << j - 1) - (1 << i), x.numerator * (scale // x.denominator))
+                    for i, j, x in terms
+                ]))
+        return scale, table
 
     def bracket_terms(self, i, j):
         """(sign, terms) with [e_i, e_j] = sign * sum_k terms[k] e_k, any i, j.

@@ -7,8 +7,11 @@ product, omega(x, y) is x^T G y with the Gram matrix G.  The
 Chevalley-Eilenberg differential follows the convention that
 d(alpha)(X, Y) = -alpha([X, Y]) on 1-forms, extended to higher degree as
 an antiderivation, so the structure-equation tuples are literally the
-expansions of the d(e^k).  One term expansion of
-d(e^K) serves both ce_differential and differential_matrix; the latter
+expansions of the d(e^k).  The complex itself indexes its basis forms by
+bitmasks (bit i-1 for e^i) and carries integer entries: one term
+expansion of L d_theta(e^K), L the least common denominator of the
+structure constants and theta, serves both ce_differential (which takes
+and returns KForms, dividing by L) and differential_matrix; the latter
 also assembles a single weight block (weight_block) of the complex.
 """
 
@@ -100,10 +103,6 @@ class KForm:
         return f"KForm({self.dim}, {self.degree}, {' + '.join(parts)})"
 
 
-def zero_form(dim, degree):
-    return KForm(dim, degree, {})
-
-
 def basis_form(dim, indices, coeff=1):
     """coeff * e^{i1...ik} for strictly increasing indices."""
     return KForm(dim, len(indices), {tuple(indices): Fraction(coeff)})
@@ -116,14 +115,28 @@ def one_form(dim, coefficients):
     return KForm(dim, 1, {(i + 1,): Fraction(c) for i, c in enumerate(coefficients)})
 
 
+def form_masks(dim, degree):
+    """Basis forms of a degree as bitmasks (bit i-1 for e^i), increasing.
+
+    Increasing masks are the colexicographic order of the index sets;
+    the Chevalley-Eilenberg complex is indexed by these masks.
+    """
+    return sorted(sum(1 << i for i in c) for c in combinations(range(dim), degree))
+
+
+def mask_key(mask):
+    """The strictly increasing index tuple of a bitmask."""
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def form_basis(dim, degree):
     """Strictly increasing index tuples in colexicographic order.
 
     Colex rank of a tuple is independent of the ambient dimension, which
     keeps the degree-wise matrix layouts stable when comparing algebras
-    of different sizes.
+    of different sizes.  The order is form_masks's.
     """
-    return sorted(combinations(range(1, dim + 1), degree), key=lambda t: t[::-1])
+    return [mask_key(m) for m in form_masks(dim, degree)]
 
 
 def form_to_vector(a, basis=None):
@@ -137,68 +150,86 @@ def vector_to_form(dim, degree, vec, basis=None):
     return KForm(dim, degree, dict(zip(basis, vec)))
 
 
-def _expansion(g, theta=None):
-    """key -> the terms (key', x) of d_theta(e^key) = sum x e^key'; keys may repeat.
+def differential_scale(g, theta=None):
+    """L, the least positive integer that clears the denominators of g's
+    structure constants and of theta, so that L d_theta is integral."""
+    twist = () if theta is None else (t.denominator for t in theta.coeffs.values())
+    return lcm(g.d_masks[0], *twist)
 
-    d(e^m) = -sum_{i<j} c^m_ij e^ij comes from the algebra's d_table.  With
-    K = key = (k_1 < ... < k_p), the antiderivation rule puts
+
+def _expansion(g, theta=None):
+    """(L, expand): expand(mask) yields the terms (mask', x) of L d_theta(e^mask)
+    = sum x e^mask', x an int; masks may repeat.  L is differential_scale's.
+
+    d(e^m) = -sum_{i<j} c^m_ij e^ij comes from the algebra's d_masks.  With
+    K = (k_1 < ... < k_p), the antiderivation rule puts
     e^{k_1..k_{a-1}} ^ d(e^{k_a}) ^ e^{k_{a+1}..k_p} in d(e^K); in the term
     for e^ij, with R = K minus k_a, moving e^i and e^j into place from
     position a costs (-1)^(#R<i + #R<j), so with the rule's (-1)^(a-1) the
-    sign is (-1)^(a + #R<i + #R<j) for 0-based a.  theta, when given,
+    sign is (-1)^(a + #R<i + #R<j) for 0-based a.  On bitmasks a = #K<k_a,
+    and the parity of #R<i + #R<j is that of the elements of R between i
+    and j, so the sign is the parity of one popcount.  theta, when given,
     subtracts theta ^ e^K, which is (-1)^(#K<l) theta_l on K plus l.
     """
-    d_table = g.d_table
-    twist = () if theta is None else theta.coeffs.items()
+    base, table = g.d_masks
+    scale = differential_scale(g, theta)
+    if scale != base:
+        table = [(bit, [(pair, between, x * (scale // base)) for pair, between, x in terms])
+                 for bit, terms in table]
+    twist = () if theta is None else [
+        (1 << l - 1, t.numerator * (scale // t.denominator)) for (l,), t in theta.coeffs.items()
+    ]
 
     def expand(key):
-        for a, m in enumerate(key):
-            rest = key[:a] + key[a + 1 :]
-            for i, j, x in d_table[m]:
-                if i in rest or j in rest:
-                    continue
-                below = sum(1 for r in rest if r < i) + sum(1 for r in rest if r < j)
-                yield tuple(sorted(rest + (i, j))), x if (a + below) % 2 == 0 else -x
-        for (l,), t in twist:
-            if l in key:
+        for bit, terms in table:
+            if not key & bit:
                 continue
-            below = sum(1 for r in key if r < l)
-            yield tuple(sorted(key + (l,))), -t if below % 2 == 0 else t
+            rest = key ^ bit
+            before = key & bit - 1
+            for pair, between, x in terms:
+                if not rest & pair:
+                    odd = (before ^ rest & between).bit_count() & 1
+                    yield rest | pair, -x if odd else x
+        for bit, t in twist:
+            if not key & bit:
+                yield key | bit, t if (key & bit - 1).bit_count() & 1 else -t
 
-    return expand
+    return scale, expand
 
 
 def ce_differential(g, a, theta=None):
     """Chevalley-Eilenberg differential d(a), or d_theta(a) = d(a) - theta ^ a.
 
     Expands only the keys of a, with the terms differential_matrix puts
-    in their columns.  d_theta squares to zero only for closed theta;
-    checking that is the caller's part.
+    in their columns, and divides out their scale L.  d_theta squares to
+    zero only for closed theta; checking that is the caller's part.
     """
     if a.dim != g.dim:
         raise ValueError("form does not live on this algebra")
-    expand = _expansion(g, theta)
+    scale, expand = _expansion(g, theta)
     coeffs = {}
     for key, value in a.coeffs.items():
-        for target, x in expand(key):
+        for target, x in expand(sum(1 << i - 1 for i in key)):
             coeffs[target] = coeffs.get(target, 0) + value * x
-    return KForm(g.dim, a.degree + 1, coeffs)
+    return KForm(g.dim, a.degree + 1, {mask_key(t): v / scale for t, v in coeffs.items()})
 
 
 def differential_matrix(g, degree, theta=None, keys=None):
-    """Sparse matrix of d (or d_theta) from degree-forms to (degree+1)-forms.
+    """Sparse integer matrix of L d (or L d_theta) from degree-forms to
+    (degree+1)-forms, with L = differential_scale(g, theta).
 
-    keys = (domain, codomain) lists the basis forms of the columns and of
-    the rows; by default they are form_basis(dim, degree) and
-    form_basis(dim, degree + 1) (colexicographic, so there are C(dim,
-    degree) columns).  Row r is a dict {column: entry}; empty rows are
+    Scaling by L changes neither the rank, nor the kernel, nor the column
+    span.  keys = (domain, codomain) lists the bitmasks of the basis forms
+    of the columns and of the rows; by default they are form_masks(dim,
+    degree) and form_masks(dim, degree + 1) (colexicographic, so there are
+    C(dim, degree) columns).  Row r is a dict {column: int}; empty rows are
     kept.  theta, when given, twists the differential to d - theta ^ (.).
-    Column c is ce_differential of the c-th domain form, assembled from
+    Column c is L ce_differential of the c-th domain form, assembled from
     the same term expansion.  A block such as weight_block's must be
     mapped into itself, so a term outside the codomain raises.
     """
-    domain, codomain = keys or (form_basis(g.dim, degree), form_basis(g.dim, degree + 1))
-    expand = _expansion(g, theta)
+    domain, codomain = keys or (form_masks(g.dim, degree), form_masks(g.dim, degree + 1))
+    _, expand = _expansion(g, theta)
     cod_index = {key: r for r, key in enumerate(codomain)}
     rows = [{} for _ in cod_index]
     for col, key in enumerate(domain):
@@ -242,11 +273,12 @@ def weight_block(g, theta=None):
     theta(e_i) (0 for d) under every diagonal e_i; with none, it is the
     whole complex.
 
-    The keys of each degree come in colexicographic order: one walk
+    The keys are bitmasks, as differential_matrix takes them, and those of
+    each degree come in increasing (colexicographic) order: one walk
     decides the elements from n down to 1, leaving each out before putting
-    it in, which yields increasing bitmasks.  It enters a branch only when
-    the weight still needed, scaled to integers, is the sum of a subset of
-    the elements left, so every branch ends in a kept key.
+    it in.  It enters a branch only when the weight still needed, scaled
+    to integers, is the sum of a subset of the elements left, so every
+    branch ends in a kept key.
     """
     n = g.dim
     scaled, targets = [], []
@@ -264,18 +296,18 @@ def weight_block(g, theta=None):
 
     def walk(m, need, chosen):
         if m == 0:
-            keys[len(chosen)].append(chosen)
+            keys[chosen.bit_count()].append(chosen)
             return
         below = reachable[m - 1]
         if need in below:
             walk(m - 1, need, chosen)
         rest = tuple(map(sub, need, weight[m - 1]))
         if rest in below:
-            walk(m - 1, rest, (m,) + chosen)
+            walk(m - 1, rest, chosen | 1 << m - 1)
 
     targets = tuple(targets)
     if targets in reachable[n]:
-        walk(n, targets, ())
+        walk(n, targets, 0)
     return keys
 
 

@@ -22,6 +22,7 @@ from .exterior import (
     basis_form,
     ce_differential,
     differential_matrix,
+    differential_scale,
     form_basis,
     form_to_vector,
     vector_to_form,
@@ -103,7 +104,10 @@ class LCSStructure:
         """A 1-form eta with d(eta) - theta ^ eta = omega, or None if not exact."""
         matrix = differential_matrix(self.algebra, 1, self.theta)
         solution = linalg.sparse_solve(matrix, self.algebra.dim, form_to_vector(self.omega))
-        return None if solution is None else vector_to_form(self.algebra.dim, 1, solution)
+        if solution is None:
+            return None
+        scale = differential_scale(self.algebra, self.theta)  # matrix = L d_theta
+        return vector_to_form(self.algebra.dim, 1, [scale * x for x in solution])
 
 
 def classify_kind(g, omega, theta):

@@ -1,21 +1,24 @@
 """Exact linear algebra over the rationals.
 
-Entries are fractions.Fraction.  Two representations are used.  The
-Chevalley-Eilenberg differentials are large and very sparse (often one or
-two nonzeros per row), so they are sparse matrices: lists of rows, each a
-dict {column: entry}.  Their ranks and kernels come from one sparse
-Gauss-Jordan elimination (eliminate), which takes the sparsest rows
-first; rank_mod_prime is a separate elimination over GF(p) that checks
-it, and sparse_solve reads one solution off eliminate's kernel.  The
-small systems (Gram matrices, automorphism algebras, a change of basis,
-the Lee form) are dense lists of rows; rref reduces them in order, with
-leftmost pivots, to their reduced row echelon form, whose length is the
-rank and whose kernel nullspace reads off; char_poly_exact gives the
+Two representations are used.  The Chevalley-Eilenberg differentials
+are large and very sparse (often one or two nonzeros per row), so they
+are sparse matrices: lists of rows, each a dict {column: entry}, with
+integer entries (exterior.differential_matrix scales d_theta to clear its
+denominators; rational rows are accepted and cleared row by row).  Their
+ranks and kernels come from one fraction-free sparse Gauss-Jordan
+elimination (eliminate), which takes the sparsest rows first and keeps
+every row integral; rank_mod_prime is a separate elimination over GF(p)
+that checks it, and sparse_solve reads one Fraction solution off
+eliminate's integer kernel.  The small systems (Gram matrices,
+automorphism algebras, a change of basis, the Lee form) are dense lists
+of rows of fractions.Fraction; rref reduces them in order, with leftmost
+pivots, to their reduced row echelon form, whose length is the rank and
+whose kernel nullspace reads off; char_poly_exact gives the
 characteristic polynomial of a small dense matrix.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 def zeros(rows, cols):
@@ -95,32 +98,68 @@ def _subtract(row, c, pivot_row):
             del row[j]
 
 
-def eliminate(rows):
-    """Exact sparse Gauss-Jordan elimination over the rationals.
+def _integral(row):
+    """The row times the least positive integer that clears its denominators, as ints."""
+    den = lcm(*(x.denominator for x in row.values()))
+    return {j: x.numerator * (den // x.denominator) for j, x in row.items()}
 
-    Rows are taken sparsest first.  Each is reduced against the pivot
-    rows found so far, which hold no pivot column but their own, so one
+
+def _cross(row, c, p, pivot_row):
+    """row = (p * row - c * pivot_row) / gcd(p, c), in place.
+
+    With p = pivot_row[col] and c = row[col], this clears row[col].
+    """
+    g = gcd(p, c)
+    p, c = p // g, c // g
+    if p != 1:
+        for j in row:
+            row[j] *= p
+    _subtract(row, c, pivot_row)
+
+
+def _primitive(row, col):
+    """row divided by its content, signed so that row[col] > 0, in place."""
+    g = gcd(*row.values())
+    if row[col] < 0:
+        g = -g
+    if g != 1:
+        for j in row:
+            row[j] //= g
+
+
+def eliminate(rows):
+    """Fraction-free sparse Gauss-Jordan elimination over the integers.
+
+    Rows may hold ints or Fractions; each is cleared of its denominators
+    once, and the pivot rows hold ints, each divided by its content with a
+    positive pivot, so they are the primitive integer multiples of the
+    rational reduced rows (Bareiss, Math. Comp. 22, 1968, keeps the
+    entries integral the same way).  Rows are taken sparsest first.  Each
+    is reduced against the pivot rows found so far, which hold no pivot
+    column but their own, by cross-multiplying with their pivots, so one
     pass leaves only non-pivot columns.  If anything is left, the row
-    becomes a pivot row, scaled to 1 on the column that occurs in the
-    fewest pivot rows (leftmost on ties), and that column is cleared from
-    the pivot rows holding it.  Returns {pivot column: reduced row}; its
-    length is the rank.
+    becomes a pivot row on the column that occurs in the fewest pivot
+    rows (leftmost on ties), and that column is cleared from the pivot
+    rows holding it.  Returns {pivot column: reduced row}; its length is
+    the rank.
     """
     pivots = {}
     holders = {}  # non-pivot column -> pivot columns whose rows hold it
     for row in sorted(rows, key=len):
-        row = {j: Fraction(x) for j, x in row.items()}
+        row = _integral(row)
         for hit in [j for j in row if j in pivots]:
-            _subtract(row, row[hit], pivots[hit])
+            pivot_row = pivots[hit]
+            _cross(row, row[hit], pivot_row[hit], pivot_row)
         if not row:
             continue
         col = min(row, key=lambda j: (len(holders.get(j, ())), j))
-        inv_p = 1 / row[col]
-        row = {j: x * inv_p for j, x in row.items()}
+        _primitive(row, col)
+        p = row[col]
         for other in holders.pop(col, ()):
             other_row = pivots[other]
             before = other_row.keys() - {col}
-            _subtract(other_row, other_row[col], row)
+            _cross(other_row, other_row[col], p, row)
+            _primitive(other_row, other)
             for j in other_row.keys() - before:
                 holders.setdefault(j, set()).add(other)
             for j in before - other_row.keys():
@@ -140,19 +179,28 @@ def rank(rows):
 def kernel(pivots, ncols):
     """Right-kernel basis from reduced pivot rows, eliminate's or rref's.
 
-    One sparse vector per free column f, in increasing f: 1 at f, minus
-    row[f] at each pivot column whose reduced row has an entry at f.
+    One sparse vector per free column f, in increasing f: s_f at f, and
+    -row[f] * s_f / row[col] at each pivot column col whose reduced row
+    has an entry at f, where s_f is the least common multiple of those
+    rows' pivots.  It is 1 for rref's rows, whose pivots are 1, and the
+    vectors of eliminate's integer rows are integral.
     """
-    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivots}
+    scale = {f: 1 for f in range(ncols) if f not in pivots}
     for col, row in pivots.items():
+        for f in row:
+            if f != col:
+                scale[f] = lcm(scale[f], int(row[col]))
+    basis = {f: {f: s} for f, s in scale.items()}
+    for col, row in pivots.items():
+        p = row[col]
         for f, x in row.items():
             if f != col:
-                basis[f][col] = -x
+                basis[f][col] = -x * (scale[f] // p)
     return list(basis.values())
 
 
 def sparse_solve(rows, ncols, b):
-    """One solution x (dense) of rows x = b, or None when inconsistent.
+    """One solution x (dense Fractions) of rows x = b, or None when inconsistent.
 
     With b as column ncols, a kernel vector v of [rows | b] with
     v[ncols] != 0 gives x = -v[:ncols] / v[ncols]; the kernel basis has
@@ -161,8 +209,7 @@ def sparse_solve(rows, ncols, b):
     augmented = [{**row, ncols: v} if v else row for row, v in zip(rows, b)]
     for v in kernel(eliminate(augmented), ncols + 1):
         if ncols in v:
-            scale = -1 / v[ncols]
-            return [v.get(j, 0) * scale for j in range(ncols)]
+            return [Fraction(-v.get(j, 0), v[ncols]) for j in range(ncols)]
     return None
 
 
@@ -195,7 +242,7 @@ def rref(vectors):
 
 
 def rank_mod_prime(rows):
-    """Rank over GF(p), p = RANK_CHECK_PRIME, of the rows scaled to integers.
+    """Rank over GF(p), p = RANK_CHECK_PRIME, of the rows cleared of denominators.
 
     It never exceeds the rank r over the rationals, and equals it unless p
     divides every r x r minor (see Dumas and Villard, "Computing the rank
@@ -206,10 +253,7 @@ def rank_mod_prime(rows):
     p = RANK_CHECK_PRIME
     pivots = {}
     for row in rows:
-        row = {j: Fraction(x) for j, x in row.items()}
-        scale = lcm(*(x.denominator for x in row.values()))
-        row = {j: x.numerator * (scale // x.denominator) % p for j, x in row.items()}
-        row = {j: x for j, x in row.items() if x}
+        row = {j: v for j, x in _integral(row).items() if (v := x % p)}
         while row:
             col = min(row)
             if col not in pivots:
@@ -235,4 +279,4 @@ def nullspace(a):
     if not a:
         raise ValueError("cannot infer column count of an empty matrix")
     ncols = len(a[0])
-    return [[v.get(j, Fraction(0)) for j in range(ncols)] for v in kernel(rref(a), ncols)]
+    return [[Fraction(v.get(j, 0)) for j in range(ncols)] for v in kernel(rref(a), ncols)]

@@ -16,12 +16,15 @@ ones with theta(X) = 0, the block is the whole complex and the same code
 ranks all of it.  The dropped eigenspaces still enter the closed
 dimensions, through the ranks an acyclic complex of their sizes has.
 
-The rank of each degree-wise sparse matrix comes from one exact
-elimination and is certified from both sides: the kernel vectors it
-yields are independent and multiply to zero (so the rank is at most r),
-and a separate elimination modulo a prime finds rank r too (so it is at
-least r).  Disagreement, d_theta squaring to nonzero, or a term of
-d_theta leaving its block raises.
+The degree-wise matrices are integral: exterior.differential_matrix
+gives L d_theta, with L the least common denominator of the structure
+constants and theta, which has the ranks and kernels of d_theta.  The
+rank of each comes from one fraction-free elimination and is certified
+from both sides: the integer kernel vectors it yields are independent
+and multiply to zero (so the rank is at most r), and a separate
+elimination modulo a prime finds rank r too (so it is at least r).
+Disagreement, d_theta squaring to nonzero, or a term of d_theta leaving
+its block raises.
 """
 
 from dataclasses import dataclass

@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 from lcslie import corpus
-from lcslie.exterior import KForm, basis_form, zero_form
+from lcslie.exterior import KForm, basis_form
 
 
 @pytest.fixture(scope="session")
@@ -66,6 +66,55 @@ def cofactor_det():
     return _cofactor_det
 
 
+def _subtract(row, c, pivot_row):
+    """row -= c * pivot_row, in place."""
+    for j, y in pivot_row.items():
+        v = row.get(j, 0) - c * y
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+
+
+def _fraction_eliminate(rows):
+    """Sparse Gauss-Jordan over Fractions, with eliminate's row order and pivot rule.
+
+    Rows are taken sparsest first and reduced against the pivot rows; what
+    is left becomes a pivot row, scaled to 1 on the column that occurs in
+    the fewest pivot rows (leftmost on ties), and that column is cleared
+    from the pivot rows holding it.  Returns {pivot column: reduced row}.
+    """
+    pivots = {}
+    holders = {}  # non-pivot column -> pivot columns whose rows hold it
+    for row in sorted(rows, key=len):
+        row = {j: Fraction(x) for j, x in row.items()}
+        for hit in [j for j in row if j in pivots]:
+            _subtract(row, row[hit], pivots[hit])
+        if not row:
+            continue
+        col = min(row, key=lambda j: (len(holders.get(j, ())), j))
+        inv_p = 1 / row[col]
+        row = {j: x * inv_p for j, x in row.items()}
+        for other in holders.pop(col, ()):
+            other_row = pivots[other]
+            before = other_row.keys() - {col}
+            _subtract(other_row, other_row[col], row)
+            for j in other_row.keys() - before:
+                holders.setdefault(j, set()).add(other)
+            for j in before - other_row.keys():
+                holders[j].discard(other)
+        for j in row:
+            if j != col:
+                holders.setdefault(j, set()).add(col)
+        pivots[col] = row
+    return pivots
+
+
+@pytest.fixture(scope="session")
+def fraction_eliminate():
+    return _fraction_eliminate
+
+
 @pytest.fixture(scope="session")
 def dense():
     """The dense list-of-rows form of a sparse matrix with ncols columns."""
@@ -84,6 +133,15 @@ def sparse():
         return [{j: x for j, x in enumerate(row) if x} for row in a]
 
     return to_sparse
+
+
+def _zero_form(dim, degree):
+    return KForm(dim, degree, {})
+
+
+@pytest.fixture(scope="session")
+def zero_form():
+    return _zero_form
 
 
 def _perm_sign(seq):
@@ -106,7 +164,7 @@ def _wedge(a, b):
         raise ValueError("ambient dimension mismatch")
     degree = a.degree + b.degree
     if degree > a.dim:
-        return zero_form(a.dim, degree)
+        return _zero_form(a.dim, degree)
     coeffs = {}
     for ka, va in a.coeffs.items():
         for kb, vb in b.coeffs.items():
@@ -148,7 +206,7 @@ def _wedge_differential(g, a):
     with d(e^k) = -sum_{i<j} c^k_ij e^i ^ e^j read off the brackets and the
     products taken by _wedge; independent of the library's term expansion.
     """
-    result = zero_form(g.dim, a.degree + 1)
+    result = _zero_form(g.dim, a.degree + 1)
     for key, value in a.coeffs.items():
         for pos, idx in enumerate(key):
             d_idx = {ij: -terms[idx] for ij, terms in g.brackets.items() if idx in terms}

@@ -21,12 +21,15 @@ from lcslie.exterior import (
     ce_differential,
     check_jacobi,
     differential_matrix,
+    differential_scale,
     form_basis,
+    form_masks,
     form_to_vector,
     is_unimodular,
+    mask_key,
     one_form,
     vector_to_form,
-    zero_form,
+    weight_block,
 )
 from lcslie.lcs import gram_matrix
 from lcslie.notation import parse_structure_equations
@@ -136,6 +139,8 @@ def test_kform_validation():
 
 def test_form_basis_is_colexicographic():
     assert form_basis(4, 2) == [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
+    assert form_masks(4, 2) == [0b11, 0b101, 0b110, 0b1001, 0b1010, 0b1100]
+    assert [mask_key(m) for m in form_masks(4, 2)] == form_basis(4, 2)
     vec = form_to_vector(KForm(4, 2, {(2, 4): Fraction(5)}))
     assert vec == [0, 0, 0, 0, 5, 0]
     assert vector_to_form(4, 2, vec) == KForm(4, 2, {(2, 4): 5})
@@ -200,7 +205,41 @@ def test_differential_matrix_matches_columnwise(dense, wedge, wedge_differential
             assert got == expected
 
 
-def test_ce_differential_matches_the_wedge_antiderivation(shipped, wedge, wedge_differential):
+def test_differential_matrix_is_L_times_the_wedge_oracle(by_name, wedge, wedge_differential):
+    """Every column holds ints and is L times d_theta of its basis form by the wedge oracle.
+
+    rr3l has d(e^3) = 1/3 e^13 (lambda = -1/3), so L = 3, and L = 6 with
+    theta = e^1/2, on the default keys.  The weight block is that of a
+    Heisenberg algebra [e1, e2] = e3/3 graded by ad(e4) = diag(1/2, 1/2, 1),
+    with theta = -e^4, whose kept maps are nonzero.
+    """
+    rr3l = by_name["rr3l"].algebra()
+    half = one_form(4, [Fraction(1, 2), 0, 0, 0])
+    graded = LieAlgebra(4, {(1, 2): {3: Fraction(1, 3)}, (1, 4): {1: Fraction(-1, 2)},
+                            (2, 4): {2: Fraction(-1, 2)}, (3, 4): {3: -1}})
+    minus_e4 = one_form(4, [0, 0, 0, -1])
+    block = weight_block(graded, minus_e4) + [[]]
+    assert block[:5] != [form_masks(4, k) for k in range(5)]
+    cases = ((rr3l, half, None), (rr3l, None, None), (graded, minus_e4, block))
+    assert [differential_scale(g, t) for g, t, _ in cases] == [6, 3, 6]
+    for g, t, keys in cases:
+        scale = differential_scale(g, t)
+        nonzero = 0
+        for degree in range(4):
+            dom, cod = (keys or [form_masks(4, k) for k in range(5)])[degree : degree + 2]
+            rows = differential_matrix(g, degree, t, keys and (dom, cod))
+            assert len(rows) == len(cod)
+            assert all(type(x) is int and x and 0 <= c < len(dom) for row in rows for c, x in row.items())
+            nonzero += sum(map(len, rows))
+            for col, key in enumerate(dom):
+                a = basis_form(4, mask_key(key))
+                expected = wedge_differential(g, a) - (wedge(t, a) if t else KForm(4, degree + 1))
+                got = {mask_key(cod[r]): row[col] for r, row in enumerate(rows) if col in row}
+                assert KForm(4, degree + 1, got) == scale * expected, (t, degree, key)
+        assert nonzero
+
+
+def test_ce_differential_matches_the_wedge_antiderivation(shipped, wedge, wedge_differential, zero_form):
     rng = random.Random(29)
     for entry in shipped:
         g = entry.algebra()
@@ -238,7 +277,7 @@ def test_is_unimodular_matches_corpus(shipped):
             assert is_unimodular(entry.algebra()) == entry.unimodular, entry.name
 
 
-def test_zero_and_scalar_forms(wedge):
+def test_zero_and_scalar_forms(wedge, zero_form):
     z = zero_form(4, 2)
     assert z.is_zero() and z.degree == 2
     scalar = KForm(4, 0, {(): Fraction(3)})

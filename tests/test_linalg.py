@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -58,6 +59,62 @@ def test_sparse_rank_and_kernel_match_sympy(dense, data):
     for v in dense(basis, ncols):
         assert linalg.mat_vec(matrix, v) == [0] * len(rows)
     assert linalg.rank(basis) == len(basis)
+
+
+@st.composite
+def dependent_rows(draw):
+    """(rows, ncols): sparse_matrices' rows plus duplicates, nonzero multiples and
+    sums of drawn rows, which cancel to zero in the elimination, and empty rows."""
+    rows, ncols = draw(sparse_matrices())
+    multiple = st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool)
+    for _ in range(draw(st.integers(min_value=0, max_value=4)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        kind = draw(st.sampled_from(["duplicate", "multiple", "sum", "empty"]))
+        if kind == "duplicate":
+            rows.append(dict(a))
+        elif kind == "multiple":
+            c = draw(multiple)
+            rows.append({j: c * x for j, x in a.items()})
+        elif kind == "sum":
+            total = {j: a.get(j, 0) + b.get(j, 0) for j in a.keys() | b.keys()}
+            rows.append({j: x for j, x in total.items() if x})
+        else:
+            rows.append({})
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(dependent_rows())
+def test_integer_elimination_matches_the_fraction_oracle(fraction_eliminate, data):
+    """The same pivot columns as the Fraction elimination; each pivot row is the
+    primitive integer multiple of the oracle's, with a positive pivot; each kernel
+    vector is an integral nonzero multiple of the oracle's, 1 at f and -row[f] at
+    the pivot columns."""
+    rows, ncols = data
+    oracle = fraction_eliminate(rows)
+    pivots = linalg.eliminate(rows)
+    assert list(pivots) == list(oracle)
+    for col, row in pivots.items():
+        assert all(type(x) is int for x in row.values())
+        assert row[col] > 0 and gcd(*row.values()) == 1
+        assert row == {j: row[col] * x for j, x in oracle[col].items()}
+    free = [f for f in range(ncols) if f not in oracle]
+    kernel = linalg.kernel(pivots, ncols)
+    assert len(kernel) == len(free)
+    for f, v in zip(free, kernel):
+        expected = {f: Fraction(1)} | {c: -row[f] for c, row in oracle.items() if f in row}
+        assert all(type(x) is int for x in v.values()) and v[f]
+        assert v == {j: v[f] * x for j, x in expected.items()}
+
+
+def test_sparse_solve_answers_in_fractions_on_integer_rows():
+    """Pivots other than 1 make the solution non-integral; it must be exact, not float."""
+    rows = [{0: 2, 1: 1}, {1: 3}, {0: 4, 1: 5}]
+    x = linalg.sparse_solve(rows, 2, [1, 1, 3])
+    assert x == [Fraction(1, 3), Fraction(1, 3)]
+    assert all(type(v) is Fraction for v in x)
+    assert all(type(v) is Fraction for v in linalg.sparse_solve([{0: 3}], 1, [0]))
 
 
 @settings(max_examples=100, deadline=None)

@@ -19,9 +19,9 @@ from lcslie.exterior import (
     diagonal_weights,
     differential_matrix,
     form_basis,
+    form_masks,
     one_form,
     weight_block,
-    zero_form,
 )
 from lcslie.lcs import LCSStructure
 from lcslie.notation import parse_structure_equations
@@ -124,7 +124,7 @@ def test_is_exact_class_agrees_with_primitive_search(shipped):
         assert is_exact_class(g, theta, omega) == (eta is not None), entry.name
 
 
-def test_is_exact_class_edge_cases():
+def test_is_exact_class_edge_cases(zero_form):
     g = parse_structure_equations("(0,-12,13,0)")
     theta = one_form(4, [1, 0, 0, 0])
     assert is_exact_class(g, theta, zero_form(4, 0))
@@ -187,7 +187,7 @@ def test_cohomology_matches_the_sympy_oracle_in_dim_6():
     p = linalg.mat_mul(lower, linalg.transpose(lower))
     p_inv = [[Fraction(x.p, x.q) for x in row] for row in sympy.Matrix(p).inv().tolist()]
     conjugated = linalg.mat_mul(linalg.mat_mul(p, diagonal), p_inv)
-    full = [form_basis(6, k) for k in range(7)]
+    full = [form_masks(6, k) for k in range(7)]
     for matrix, graded in ((diagonal, True), (conjugated, False)):
         g = almost_abelian(matrix)
         # diagonal A makes e_1 diagonal; the dense conjugate has no diagonal element
@@ -295,11 +295,11 @@ def test_weight_block_cohomology_matches_the_full_complex(pair):
     weights = diagonal_weights(g)
     assert 1 in weights
     for t in (None, theta):
-        # the walk yields exactly the keys of the right weights, in form_basis order
+        # the walk yields exactly the bitmasks of the right weights, in form_basis order
         wanted = {i: t.coefficient((i,)) if t is not None else 0 for i in weights}
         expected = [
             [
-                key
+                sum(1 << j - 1 for j in key)
                 for key in form_basis(g.dim, k)
                 if all(-sum(a[j - 1] for j in key) == wanted[i] for i, a in weights.items())
             ]
@@ -327,14 +327,14 @@ def test_a_term_outside_the_weight_block_raises(monkeypatch, by_name):
     honest = exterior._expansion
 
     def leaking(g, theta=None):
-        expand = honest(g, theta)
+        scale, expand = honest(g, theta)
 
         def leak(key):
             yield from expand(key)
             if not key:  # d(1) gains e^2, of weight -1; theta's closedness check is untouched
-                yield (2,), 1
+                yield 0b10, 1
 
-        return leak
+        return scale, leak
 
     monkeypatch.setattr(exterior, "_expansion", leaking)
     with pytest.raises(RuntimeError, match="d_theta leaves its weight block in degree 0"):
