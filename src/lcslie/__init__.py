@@ -12,7 +12,7 @@ All computations are exact: over the rationals, and for the lattice
 certificates over the rings Z[lambda] with lambda^2 = m lambda - 1.
 """
 
-from .algebra import LieAlgebra, abelian, center, change_basis
+from .algebra import LieAlgebra, abelian, change_basis
 from .exterior import (
     KForm,
     basis_form,
@@ -56,7 +56,6 @@ from .lattice import (
 __all__ = [
     "LieAlgebra",
     "abelian",
-    "center",
     "change_basis",
     "KForm",
     "basis_form",

@@ -5,9 +5,11 @@ abstract element type.  The structure constants are one sparse table:
 brackets[(i, j)] = {k: c^k_ij} for i < j, holding only the nonzero
 c^k_ij with 1-based k, and omitting the pairs whose bracket is zero;
 antisymmetry is implicit.  Everything that reads the structure constants
-(brackets, traces of ad, the Jacobi identity, the differential d(e^k),
-the structure equations) walks this table, so the cost follows its
-nonzeros rather than n^3.
+(brackets, traces of ad, the structure equations) walks this table, so
+the cost follows its nonzeros rather than n^3.  The one table derived
+from it is d_masks, the integer differentials d(e^k) on bitmasks that
+the Chevalley-Eilenberg complex, and with it the Jacobi identity
+d(d(e^k)) = 0, reads.
 """
 
 from dataclasses import dataclass
@@ -15,13 +17,10 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
-from types import MappingProxyType
 
 from . import linalg
 
 MAX_DIM = 14  # keeps every exterior power at most C(14,7) = 3432 dimensional
-
-_NO_TERMS = MappingProxyType({})
 
 
 def _sparse_brackets(brackets, dim):
@@ -70,50 +69,28 @@ class LieAlgebra:
         return self.dim == other.dim and self.brackets == other.brackets
 
     @cached_property
-    def d_table(self):
-        """{m: [(i, j, x), ...]} with d(e^m) = sum x e^ij, pairs (i, j) in sorted order.
-
-        x = -c^m_ij, read off the table once; the instance is frozen, so the
-        cache cannot go stale.
-        """
-        table = {m: [] for m in range(1, self.dim + 1)}
-        for (i, j), terms in sorted(self.brackets.items()):
-            for m, c in terms.items():
-                table[m].append((i, j, -c))
-        return table
-
-    @cached_property
     def d_masks(self):
         """(L, [(bit of e^m, [(bits of e^ij, bits of the indices between i and j, L x)])]).
 
-        The nonzero rows of d_table on bitmasks (bit i-1 for e^i), with L the
-        least positive integer that makes every entry integral.
+        d(e^m) = sum x e^ij with x = -c^m_ij, on bitmasks (bit i-1 for e^i):
+        one row per m with d(e^m) != 0, in increasing m, its terms in sorted
+        pair order; L is the least positive integer that makes every entry
+        integral.  Read off the table once; the instance is frozen, so the
+        cache cannot go stale.
         """
-        scale = lcm(*(x.denominator for terms in self.d_table.values() for _, _, x in terms))
-        table = []
-        for m, terms in self.d_table.items():
-            if terms:
-                table.append((1 << m - 1, [
-                    (1 << i - 1 | 1 << j - 1, (1 << j - 1) - (1 << i), x.numerator * (scale // x.denominator))
-                    for i, j, x in terms
-                ]))
-        return scale, table
-
-    def bracket_terms(self, i, j):
-        """(sign, terms) with [e_i, e_j] = sign * sum_k terms[k] e_k, any i, j.
-
-        terms is the stored table entry (empty for a zero bracket).
-        """
-        if i < j:
-            return 1, self.brackets.get((i, j), _NO_TERMS)
-        return -1, self.brackets.get((j, i), _NO_TERMS)
+        scale = lcm(*(c.denominator for terms in self.brackets.values() for c in terms.values()))
+        rows = {}
+        for (i, j), terms in sorted(self.brackets.items()):
+            pair, between = 1 << i - 1 | 1 << j - 1, (1 << j - 1) - (1 << i)
+            for m, c in terms.items():
+                rows.setdefault(m, []).append((pair, between, -c.numerator * (scale // c.denominator)))
+        return scale, [(1 << m - 1, rows[m]) for m in sorted(rows)]
 
     def basis_bracket(self, i, j):
         """[e_i, e_j] as a coordinate list, any i, j in 1..dim."""
-        sign, terms = self.bracket_terms(i, j)
         out = [Fraction(0)] * self.dim
-        for k, c in terms.items():
-            out[k - 1] = sign * c
+        for k, c in self.brackets.get((min(i, j), max(i, j)), {}).items():
+            out[k - 1] = c if i < j else -c
         return out
 
     def bracket(self, x, y):
@@ -186,17 +163,3 @@ def change_basis(g, columns):
     return LieAlgebra(n, {(i + 1, j + 1): {k + 1: x for k, x in c.items()}
                           for (i, j), c in zip(pairs, coordinates)})
 
-
-def center(g):
-    """Basis of {x : [x, y] = 0 for all y}.
-
-    x is central when sum_i x_i c^k_{ij} = 0 for every j and k; the rows
-    of that system are read off the table in one pass.
-    """
-    n = g.dim
-    rows = {}
-    for (i, j), terms in g.brackets.items():
-        for k, c in terms.items():
-            rows.setdefault((j, k), [Fraction(0)] * n)[i - 1] += c
-            rows.setdefault((i, k), [Fraction(0)] * n)[j - 1] -= c
-    return linalg.nullspace(list(rows.values()) or [[Fraction(0)] * n])

@@ -486,7 +486,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, CorpusError, NotationError, FileNotFoundError) as exc:
+    except (UsageError, CorpusError, NotationError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (VerificationFailure, ValueError, RuntimeError) as exc:

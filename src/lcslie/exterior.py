@@ -11,8 +11,9 @@ expansions of the d(e^k).  The complex itself indexes its basis forms by
 bitmasks (bit i-1 for e^i) and carries integer entries: one term
 expansion of L d_theta(e^K), L the least common denominator of the
 structure constants and theta, serves both ce_differential (which takes
-and returns KForms, dividing by L) and differential_matrix; the latter
-also assembles a single weight block (weight_block) of the complex.
+and returns KForms, dividing by L), differential_matrix, which also
+assembles a single weight block (weight_block) of the complex, and
+check_jacobi, which tests d(d(e^k)) = 0.
 """
 
 from fractions import Fraction
@@ -314,22 +315,24 @@ def weight_block(g, theta=None):
 def check_jacobi(g):
     """(True, None) or (False, (i, j, k)) with a violating basis triple.
 
-    Tests the cyclic sum [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]
-    for all i < j < k, in lexicographic order; equivalent to d(d(e^m)) = 0
-    for every m.  [[e_a,e_b],e_c] = sum_m c^m_ab [e_m,e_c] is expanded
-    over the stored terms only.
+    The Jacobi identity is d(d(e^m)) = 0 for every m: on 1-forms
+    d(alpha)(X, Y) = -alpha([X, Y]), so d(d(e^m))(e_i, e_j, e_k) is, up to
+    sign, e^m of the cyclic sum [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j].
+    d(d(e^m)) is summed over the terms of the integer table d_masks, each
+    2-form term expanded as the complex expands it; the triples with a
+    nonzero coefficient for some m are exactly those where Jacobi fails,
+    and the witness is the lexicographically first of them.
     """
-    for i, j, k in combinations(range(1, g.dim + 1), 3):
+    _, expand = _expansion(g)
+    failing = set()
+    for _, terms in g.d_masks[1]:
         total = {}
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            outer, terms = g.bracket_terms(a, b)
-            for m, x in terms.items():
-                inner, inner_terms = g.bracket_terms(m, c)
-                sx = x if outer * inner > 0 else -x
-                for l, y in inner_terms.items():
-                    total[l] = total.get(l, 0) + sx * y
-        if any(total.values()):
-            return False, (i, j, k)
+        for pair, _, x in terms:
+            for key, y in expand(pair):
+                total[key] = total.get(key, 0) + x * y
+        failing.update(key for key, v in total.items() if v)
+    if failing:
+        return False, min(map(mask_key, failing))
     return True, None
 
 

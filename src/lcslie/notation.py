@@ -10,6 +10,9 @@ parameters ("-(1+α)", "δ/2"); parameters are bound to exact rationals
 at parse time, never carried symbolically.  Index pairs are the final
 two digits of a term for dimensions up to 9; larger dimensions must
 use the bracketed form "[10][12]".
+
+Parsing builds the bracket table and checks the Jacobi identity on it;
+printing reads the same table, grouping its sorted pairs by k.
 """
 
 import re
@@ -276,17 +279,16 @@ def _format_coeff(c, pair_text, plain_pair):
 
 
 def format_structure_equations(g):
-    """Normalized tuple text; parse(format(g)) == g."""
+    """Normalized tuple text; parse(format(g)) == g.
+
+    Entry k lists the terms -c^k_ij e^ij of d(e^k) in sorted pair order.
+    """
     plain = g.dim <= 9
-    entries = []
-    for k in range(1, g.dim + 1):
-        terms = []
-        for i, j, c in g.d_table[k]:
-            pair_text = f"{i}{j}" if plain else f"[{i}][{j}]"
-            terms.append(_format_coeff(c, pair_text, plain))
-        if not terms:
-            entries.append("0")
-        else:
-            joined = "".join(terms)
-            entries.append(joined[1:] if joined.startswith("+") else joined)
+    terms = {}
+    for (i, j), coeffs in sorted(g.brackets.items()):
+        pair_text = f"{i}{j}" if plain else f"[{i}][{j}]"
+        for k, c in coeffs.items():
+            terms.setdefault(k, []).append(_format_coeff(-c, pair_text, plain))
+    entries = ("".join(terms[k]).removeprefix("+") if k in terms else "0"
+               for k in range(1, g.dim + 1))
     return "(" + ",".join(entries) + ")"

@@ -1,9 +1,9 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
-from lcslie import corpus
+from lcslie import corpus, linalg
 from lcslie.exterior import KForm, basis_form
 
 
@@ -222,3 +222,43 @@ def _wedge_differential(g, a):
 @pytest.fixture(scope="session")
 def wedge_differential():
     return _wedge_differential
+
+
+def _center(g):
+    """Basis of {x : [x, y] = 0 for all y}.
+
+    x is central when sum_i x_i c^k_{ij} = 0 for every j and k; the rows
+    of that system are read off the table in one pass.
+    """
+    n = g.dim
+    rows = {}
+    for (i, j), terms in g.brackets.items():
+        for k, c in terms.items():
+            rows.setdefault((j, k), [Fraction(0)] * n)[i - 1] += c
+            rows.setdefault((i, k), [Fraction(0)] * n)[j - 1] -= c
+    return linalg.nullspace(list(rows.values()) or [[Fraction(0)] * n])
+
+
+@pytest.fixture(scope="session")
+def center():
+    return _center
+
+
+def _jacobi_walk(g):
+    """(True, None), or (False, (i, j, k)) for the first triple i < j < k in
+    lexicographic order whose cyclic sum [[e_i,e_j],e_k] + [[e_j,e_k],e_i] +
+    [[e_k,e_i],e_j] is nonzero; each bracket is a dense basis_bracket/bracket
+    call, independent of the differential."""
+    for i, j, k in combinations(range(1, g.dim + 1), 3):
+        total = [Fraction(0)] * g.dim
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, x in enumerate(g.bracket(g.basis_bracket(a, b), g.basis_vector(c))):
+                total[m] += x
+        if any(total):
+            return False, (i, j, k)
+    return True, None
+
+
+@pytest.fixture(scope="session")
+def jacobi_walk():
+    return _jacobi_walk

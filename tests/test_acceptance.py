@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import comb
 
 from lcslie import linalg
-from lcslie.algebra import LieAlgebra, center
+from lcslie.algebra import LieAlgebra
 from lcslie.construct import (
     Representation,
     SymplecticSpace,
@@ -115,7 +115,7 @@ def test_acceptance_3_worked_extension_end_to_end():
     _verdict(3, "worked 8-dimensional extension rebuilt and cross-checked", failures)
 
 
-def test_acceptance_4_central_extensions_at_the_critical_parameter():
+def test_acceptance_4_central_extensions_at_the_critical_parameter(center):
     failures = []
     for n in (1, 2, 3):
         lam = Fraction(-1, n + 1)

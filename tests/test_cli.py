@@ -432,6 +432,27 @@ def test_regress_empty_corpus_warns(capsys, tmp_path):
     assert json.loads(out) == {"records": [], "summary": {"checked": 0, "failed": 0}}
 
 
+@pytest.mark.parametrize("command", [
+    ("regress", "{dir}"),
+    ("check", "{dir}"),
+    ("extend", "{corpus}", "--name", "rr3-1", "--rep-file", "{dir}"),
+], ids=["regress", "check", "extend-rep-file"])
+def test_a_directory_in_place_of_a_file_is_bad_input(capsys, tmp_path, command):
+    argv = [a.format(dir=tmp_path, corpus=default_corpus_path()) for a in command]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
+def test_a_corpus_that_is_not_utf8_is_bad_input(capsys, tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(RR3L_LINE.replace("λ", "l").encode() + b" note='\xe9'\n")
+    for command in ("regress", "check"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == "", command
+        assert err.startswith("error: 'utf-8' codec can't decode"), command
+
+
 def test_regress_env_fallback(capsys, tmp_path, monkeypatch):
     path = tmp_path / "env.txt"
     path.write_text(RR3L_LINE + "\n")

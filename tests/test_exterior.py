@@ -12,9 +12,10 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcslie import linalg
-from lcslie.algebra import LieAlgebra, abelian
+from lcslie.algebra import LieAlgebra, abelian, change_basis
 from lcslie.exterior import (
     KForm,
     basis_form,
@@ -269,6 +270,42 @@ def test_check_jacobi_witness():
     assert not ok and witness == (1, 2, 4)
     good = parse_structure_equations("(0,-12,13,0)")
     assert check_jacobi(good) == (True, None)
+
+
+@st.composite
+def bracket_tables(draw):
+    """A random sparse table on dims 3..8, most often not a Lie algebra."""
+    n = draw(st.integers(min_value=3, max_value=8))
+    pairs = st.tuples(st.integers(1, n - 1), st.integers(2, n)).filter(lambda p: p[0] < p[1])
+    coeffs = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    table = draw(st.dictionaries(
+        pairs, st.dictionaries(st.integers(1, n), coeffs, min_size=1, max_size=3), min_size=2, max_size=8))
+    return LieAlgebra(n, table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bracket_tables())
+def test_check_jacobi_agrees_with_the_triple_walk(jacobi_walk, g):
+    assert check_jacobi(g) == jacobi_walk(g)
+
+
+def test_check_jacobi_accepts_every_corpus_algebra(shipped):
+    for entry in shipped:
+        assert check_jacobi(entry.algebra()) == (True, None), entry.name
+
+
+def test_check_jacobi_accepts_a_dense_dim_14_algebra():
+    # h3 + h3 + h3 + h3 + R^2 in the basis of a seeded unit-triangular product P = L U
+    h = {(3 * b + 1, 3 * b + 2): {3 * b + 3: 1} for b in range(4)}
+    rng = random.Random(14)
+    lower = [[1 if i == j else (rng.randint(-1, 1) if i > j else 0) for j in range(14)]
+             for i in range(14)]
+    upper = [[1 if i == j else (rng.randint(-1, 1) if i < j else 0) for j in range(14)]
+             for i in range(14)]
+    p = [[sum(lower[i][t] * upper[t][j] for t in range(14)) for j in range(14)] for i in range(14)]
+    g = change_basis(LieAlgebra(14, h), p)
+    assert sum(map(len, g.brackets.values())) > 1000
+    assert check_jacobi(g) == (True, None)
 
 
 def test_is_unimodular_matches_corpus(shipped):

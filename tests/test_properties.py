@@ -14,7 +14,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from lcslie import linalg
-from lcslie.algebra import LieAlgebra, center, change_basis
+from lcslie.algebra import LieAlgebra, change_basis
 from lcslie.exterior import (
     KForm,
     ce_differential,
@@ -197,7 +197,7 @@ def test_unimodularity_is_the_trace_of_the_dense_adjoint(g):
 
 @SETTINGS
 @given(conjugated())
-def test_center_is_the_kernel_of_every_ad(g):
+def test_center_is_the_kernel_of_every_ad(center, g):
     """Against the n^3 system [x, e_j]_k = 0 written with dense brackets."""
     n = g.dim
     rows = []
