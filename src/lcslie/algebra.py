@@ -146,20 +146,19 @@ def abelian(dim):
 def change_basis(g, columns):
     """The same algebra expressed in the basis given by the matrix columns.
 
-    The rows of [P | I] reduce to [I | P^-1] when P is invertible; when it
-    is singular, a pivot lands right of column n.  The new coordinates of
-    [b_i, b_j] are P^-1 [b_i, b_j], one sparse product for all pairs.
+    The new coordinates of [b_i, b_j] are P^-1 [b_i, b_j], with P^-1 from
+    linalg.inverse, one sparse product for all pairs.
     """
     n = g.dim
-    reduced = linalg.rref([list(row) + g.basis_vector(i) for i, row in enumerate(columns, start=1)])
-    if sorted(reduced) != list(range(n)):
+    inverse = linalg.inverse(columns)
+    if inverse is None:
         raise ValueError("matrix is singular")
-    inverse = [{j - n: x for j, x in reduced[i].items() if j >= n} for i in range(n)]
     new_basis = linalg.transpose(columns)
     pairs = list(combinations(range(n), 2))
     images = [{k: x for k, x in enumerate(g.bracket(new_basis[i], new_basis[j])) if x}
               for i, j in pairs]
-    coordinates = linalg.sparse_mul(images, linalg.sparse_transpose(inverse, n))
+    inverse_columns = [{k: x for k, x in enumerate(col) if x} for col in zip(*inverse)]
+    coordinates = linalg.sparse_mul(images, inverse_columns)
     return LieAlgebra(n, {(i + 1, j + 1): {k + 1: x for k, x in c.items()}
                           for (i, j), c in zip(pairs, coordinates)})
 

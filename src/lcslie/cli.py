@@ -190,18 +190,17 @@ def _parse_rep_file(path, hdim):
     shorthand "0" is the zero matrix.
     """
     fields = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise UsageError(f"{path}:{lineno}: expected key=value")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            if key in fields:
-                raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
-            fields[key] = value.strip()
+    for lineno, line in enumerate(corpus.read_lines(path), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise UsageError(f"{path}:{lineno}: expected key=value")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        if key in fields:
+            raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
+        fields[key] = value.strip()
     if "vdim" not in fields:
         raise UsageError(f"{path}: missing vdim")
     try:
@@ -486,7 +485,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, CorpusError, NotationError, OSError, UnicodeDecodeError) as exc:
+    except (UsageError, CorpusError, NotationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (VerificationFailure, ValueError, RuntimeError) as exc:

@@ -31,7 +31,7 @@ from itertools import combinations
 
 from . import linalg
 from .algebra import LieAlgebra, change_basis
-from .exterior import KForm, check_jacobi, one_form
+from .exterior import KForm, check_jacobi, form_to_vector, interior, one_form
 from .lcs import CheckResult, Kind, LCSStructure, lee_value
 
 
@@ -212,17 +212,6 @@ def unimodular_extension_dim(h, theta):
     return n_value
 
 
-def _gram_on(gram, vectors):
-    """The skew matrix of omega(x, y) = x^T G y on the vectors, over their nonzero coordinates."""
-    supports = [[(i, x) for i, x in enumerate(v) if x] for v in vectors]
-    out = linalg.zeros(len(vectors), len(vectors))
-    for a, left in enumerate(supports):
-        for b in range(a + 1, len(supports)):
-            value = sum((x * gram[i][j] * y for i, x in left for j, y in supports[b]), Fraction(0))
-            out[a][b], out[b][a] = value, -value
-    return out
-
-
 def _block_failure(brackets, block):
     """None if the basis indices in block span an abelian ideal, else (reason, failing key (i, j)).
 
@@ -246,17 +235,19 @@ def decompose(structure, u_basis):
     complement h of u and the adjoint action of h on u.  PreconditionError
     names the first failure: u empty, of the wrong length, dependent,
     omega-degenerate, not an ideal, not abelian, not in ker(theta); then
-    only a non-exact structure of the second kind splits.  g, omega and
-    theta are written once in the adapted basis x_1, ..., x_n (h basis, then
-    u): omega as x_i^T G x_j, theta as theta(x_j), and the ideal tests read
-    the u block of the bracket table.  The brackets of h are the h block
-    with the terms on u dropped, all zero: for x, y in h and v in u,
-    d(omega) = theta ^ omega at (x, y, v) gives omega([x, y], v) = 0, as u
-    is an ideal in ker(theta).  omega_0 is the u block of omega and pi(x)
+    only a non-exact structure of the second kind splits.  h is the kernel
+    of the covectors i_u omega.  g, omega and theta are written once in the
+    adapted basis x_1, ..., x_n (h basis, then u): omega as
+    (i_{x_i} omega)(x_j) for every pair, theta as theta(x_j), and the ideal
+    tests read the u block of the bracket table.  The brackets of h are the
+    h block with the terms on u dropped, all zero: for x, y in h and v in
+    u, d(omega) = theta ^ omega at (x, y, v) gives omega([x, y], v) = 0, as
+    u is an ideal in ker(theta).  omega_0 is the u block of omega and pi(x)
     the brackets of x with u.  The product assembled from base and rep
-    must equal the adapted data, the given, verified structure in
-    another basis.  That comparison is the only check of pi: the product
-    is then LCS and satisfies Jacobi, so pi is an LCS representation.
+    must equal the adapted data, the given, verified structure in another
+    basis.  That comparison is the only check of pi and of the
+    omega-orthogonality of h and u: the product is then LCS and satisfies
+    Jacobi, so pi is an LCS representation.
     """
     g, n, vd = structure.algebra, structure.algebra.dim, len(u_basis)
     u_basis = [[Fraction(x) for x in u] for u in u_basis]
@@ -266,13 +257,14 @@ def decompose(structure, u_basis):
         raise PreconditionError("ideal vectors must have length dim", n)
     if len(linalg.rref(u_basis)) != vd:
         raise PreconditionError("ideal basis is linearly dependent")
-    gram_u = _gram_on(structure.gram, u_basis)
+    u_covectors = [interior(u, structure.omega) for u in u_basis]
+    gram_u = [[lee_value(c, v) for v in u_basis] for c in u_covectors]
     kernel = linalg.nullspace(gram_u)
     if kernel:
         raise PreconditionError("omega degenerates on the ideal", kernel[0])
 
-    # G is nondegenerate and u independent, so the kernel has dimension n - |u|
-    perp = linalg.nullspace([linalg.mat_vec(structure.gram, u) for u in u_basis])
+    # omega is nondegenerate and u independent, so the kernel has dimension n - |u|
+    perp = linalg.nullspace([form_to_vector(c) for c in u_covectors])
     hd, vectors = len(perp), perp + u_basis
     adapted = change_basis(g, linalg.transpose(vectors))
     failure = _block_failure(adapted.brackets, set(range(hd + 1, n + 1)))
@@ -289,10 +281,9 @@ def decompose(structure, u_basis):
     if structure.primitive is not None:
         raise RuntimeError("decomposable structure is exact")
 
-    # perp is omega-orthogonal to u, so the adapted Gram is block diagonal
-    gram = [row + [Fraction(0)] * vd for row in _gram_on(structure.gram, perp)]
-    gram += [[Fraction(0)] * hd + row for row in gram_u]
-    omega = KForm(n, 2, {(i + 1, j + 1): gram[i][j] for i, j in combinations(range(n), 2)})
+    covectors = [interior(x, structure.omega) for x in perp] + u_covectors
+    omega = KForm(n, 2, {(i + 1, j + 1): lee_value(covectors[i], vectors[j])
+                         for i, j in combinations(range(n), 2)})
     theta = one_form(n, theta_values)
     h = LieAlgebra(hd, {(i, j): {k: c for k, c in terms.items() if k <= hd}
                         for (i, j), terms in adapted.brackets.items() if j <= hd})

@@ -259,19 +259,27 @@ def recompute(entry):
     return replace(entry, **verdicts)
 
 
+def read_lines(path):
+    """The lines of a UTF-8 text file; one that is not UTF-8 is a CorpusError naming it."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.readlines()
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{exc} in {path}") from exc
+
+
 def load_corpus(path):
     entries = []
     seen = set()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            entry = parse_entry(stripped, lineno)
-            if entry.name in seen:
-                raise CorpusError(f"line {lineno}: duplicate record name {entry.name!r}")
-            seen.add(entry.name)
-            entries.append(entry)
+    for lineno, line in enumerate(read_lines(path), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        entry = parse_entry(stripped, lineno)
+        if entry.name in seen:
+            raise CorpusError(f"line {lineno}: duplicate record name {entry.name!r}")
+        seen.add(entry.name)
+        entries.append(entry)
     return entries
 
 

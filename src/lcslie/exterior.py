@@ -1,9 +1,9 @@
 """Exterior algebra on the dual of a Lie algebra.
 
 K-forms carry exact rational coefficients indexed by strictly increasing
-tuples of basis indices.  The library evaluates forms only in degrees 1
-and 2, and reads those values off the coefficients: theta(x) is a dot
-product, omega(x, y) is x^T G y with the Gram matrix G.  The
+tuples of basis indices.  Values are read off the coefficients: theta(x)
+is a dot product, and higher degrees go through the interior product
+i_v a = a(v, ...) (interior), so omega(x, y) = (i_x omega)(y).  The
 Chevalley-Eilenberg differential follows the convention that
 d(alpha)(X, Y) = -alpha([X, Y]) on 1-forms, extended to higher degree as
 an antiderivation, so the structure-equation tuples are literally the
@@ -49,7 +49,7 @@ class KForm:
                 raise ValueError(f"key {key} out of range for dim {dim}")
             if any(key[a] >= key[a + 1] for a in range(len(key) - 1)):
                 raise ValueError(f"key {key} is not strictly increasing")
-            value = Fraction(value)
+            value = value if type(value) is Fraction else Fraction(value)
             if value:
                 clean[key] = value
         if degree > dim and clean:
@@ -114,6 +114,21 @@ def one_form(dim, coefficients):
     if len(coefficients) != dim:
         raise ValueError("coefficient count does not match dimension")
     return KForm(dim, 1, {(i + 1,): Fraction(c) for i, c in enumerate(coefficients)})
+
+
+def interior(v, a):
+    """The interior product i_v a = a(v, ...), a form of one degree less.
+
+    i_v e^K = sum_a (-1)^a v_{k_a} e^{K minus k_a} for K = (k_0 < ... < k_p).
+    """
+    coeffs = {}
+    for key, c in a.coeffs.items():
+        for pos, k in enumerate(key):
+            x = v[k - 1]
+            if x:
+                rest = key[:pos] + key[pos + 1 :]
+                coeffs[rest] = coeffs.get(rest, 0) + (-x if pos & 1 else x) * c
+    return KForm(a.dim, a.degree - 1, coeffs)
 
 
 def form_masks(dim, degree):

@@ -4,7 +4,9 @@ An LCS structure is a nondegenerate 2-form omega with a closed 1-form
 theta satisfying d(omega) = theta ^ omega.  theta restricted to the
 subalgebra of infinitesimal automorphisms of omega is a morphism to the
 reals, so it is either surjective (first kind) or identically zero
-(second kind); omega is symplectic exactly when theta = 0.
+(second kind); omega is symplectic exactly when theta = 0.  In
+dimension 2m >= 4, omega determines theta.  In dimension 2 every 3-form
+is zero, so every closed theta fits: there recover_lee_form raises.
 
 Everything here is exact; there are no tolerances.
 """
@@ -13,18 +15,16 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
 
 from . import linalg
-from .algebra import abelian
 from .exterior import (
     KForm,
-    basis_form,
     ce_differential,
     differential_matrix,
     differential_scale,
     form_basis,
     form_to_vector,
+    interior,
     vector_to_form,
 )
 
@@ -160,36 +160,24 @@ def check_lcs(g, omega, theta):
     return CheckResult(True)
 
 
-def _covector(gram, v):
-    """omega(v, .) as a row: the combination of Gram rows weighted by v."""
-    row = [Fraction(0)] * len(gram)
-    for c, gram_row in zip(v, gram):
-        if c:
-            row = [r + c * x for r, x in zip(row, gram_row)]
-    return row
-
-
 def automorphism_algebra(g, omega):
-    """Exact basis of g_omega = {X : omega([X,Y],Z) + omega(Y,[X,Z]) = 0}.
+    """Exact basis of g_omega = {X : L_X omega = 0}.
 
-    With G the Gram matrix of omega, X = sum x_i e_i lies in g_omega
-    exactly when ad_X^T G + G ad_X = 0.  The (j, k) entry of
-    ad_{e_i}^T G + G ad_{e_i} is omega([e_i,e_j], e_k) - omega([e_i,e_k], e_j),
-    read off the brackets and G; the entries with j < k form column i
-    of a C(n,2) x n system.  The result is its nullspace, checked to be
-    closed under the bracket, as it must be for a subalgebra.
+    (L_X omega)(Y, Z) = -omega([X,Y],Z) - omega(Y,[X,Z]), and by Cartan's
+    formula L_X omega = i_X d(omega) + d(i_X omega), with d(omega) taken
+    once; the coefficients of L_{e_i} omega form column i of a C(n,2) x n
+    system.  The result is its nullspace, checked to be closed under the
+    bracket, as it must be for a subalgebra.
     """
     if omega.dim != g.dim or omega.degree != 2:
         raise ValueError("omega must be a 2-form on the algebra")
     n = g.dim
     if n < 2:
         return [g.basis_vector(i) for i in range(1, n + 1)]
-    gram = gram_matrix(omega)
-    columns = []
-    for i in range(1, n + 1):
-        lie = [_covector(gram, g.basis_bracket(i, j)) for j in range(1, n + 1)]
-        columns.append([lie[j][k] - lie[k][j] for j, k in combinations(range(n), 2)])
-    solutions = linalg.nullspace(linalg.transpose(columns))
+    domega = ce_differential(g, omega)
+    basis = [g.basis_vector(i) for i in range(1, n + 1)]
+    lie = [interior(e, domega) + ce_differential(g, interior(e, omega)) for e in basis]
+    solutions = linalg.nullspace([[x.coefficient(key) for x in lie] for key in form_basis(n, 2)])
     brackets = [g.bracket(x, y) for a, x in enumerate(solutions) for y in solutions[a + 1 :]]
     if len(linalg.rref(solutions + brackets)) != len(solutions):
         raise RuntimeError("automorphism space is not bracket-closed")
@@ -197,30 +185,24 @@ def automorphism_algebra(g, omega):
 
 
 def recover_lee_form(g, omega):
-    """Solve d(omega) = theta ^ omega for theta.
+    """theta with d(omega) = theta ^ omega, or None when no closed theta fits.
 
-    Returns the unique solution when the system is solvable and the
-    solution is closed; None when no closed solution exists.  A solution
-    space of positive dimension raises, since it signals a degenerate
-    omega (the nondegeneracy precondition) or an assembly bug.
+    Raises when omega is degenerate (its Gram matrix G has no inverse) and
+    in dimension 2m < 4, as the module says.  beta = theta ^ omega has
+    sum_i i_{h_i} i_{e_i} beta = (2 - 2m) theta, h_i the rows of G^-1, so
+    theta is read off d(omega); it is returned if closed and d_theta(omega) = 0.
     """
     if omega.dim != g.dim or omega.degree != 2:
         raise ValueError("omega must be a 2-form on the algebra")
-    if linalg.nullspace(gram_matrix(omega)):
+    inverse = linalg.inverse(gram_matrix(omega))
+    if inverse is None:
         raise ValueError("omega is degenerate; the Lee form is not determined")
     n = g.dim
-    three_basis = form_basis(n, 3)
-    # d vanishes on the abelian algebra, so the twist alone gives d_(-e^i)(omega) = e^i ^ omega
-    flat = abelian(n)
-    columns = [form_to_vector(ce_differential(flat, omega, -basis_form(n, (i,))), three_basis)
-               for i in range(1, n + 1)]
-    if len(linalg.rref(columns)) != n:
+    if n < 4:
         raise ValueError("theta is not unique; omega does not determine a Lee form")
-    rows = [{i: x for i, x in enumerate(row) if x} for row in linalg.transpose(columns)]
-    solution = linalg.sparse_solve(rows, n, form_to_vector(ce_differential(g, omega), three_basis))
-    if solution is None:
-        return None
-    theta = vector_to_form(n, 1, solution)
-    if not ce_differential(g, theta).is_zero():
+    domega = ce_differential(g, omega)
+    terms = (interior(h, interior(g.basis_vector(i), domega)) for i, h in enumerate(inverse, 1))
+    theta = Fraction(1, 2 - n) * sum(terms, KForm(n, 1))
+    if not ce_differential(g, theta).is_zero() or not ce_differential(g, omega, theta).is_zero():
         return None
     return theta

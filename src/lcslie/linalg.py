@@ -12,9 +12,9 @@ that checks it, and sparse_solve reads one Fraction solution off
 eliminate's integer kernel.  The small systems (Gram matrices,
 automorphism algebras, a change of basis, the Lee form) are dense lists
 of rows of fractions.Fraction; rref reduces them in order, with leftmost
-pivots, to their reduced row echelon form, whose length is the rank and
-whose kernel nullspace reads off; char_poly_exact gives the
-characteristic polynomial of a small dense matrix.
+pivots, to their reduced row echelon form, whose length is the rank,
+whose kernel nullspace reads off, and from which inverse reads A^-1;
+char_poly_exact gives the characteristic polynomial of a small dense matrix.
 """
 
 from fractions import Fraction
@@ -32,10 +32,6 @@ def transpose(a):
 def mat_mul(a, b):
     bt = transpose(b)
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
-
-
-def mat_vec(a, v):
-    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
 
 
 def trace(a):
@@ -239,6 +235,15 @@ def rref(vectors):
                 _subtract(other_row, c, row)
         rows[col] = row
     return rows
+
+
+def inverse(a):
+    """The rows of A^-1, read off the reduced [A | I]; None if a pivot lands right of column n."""
+    n = len(a)
+    reduced = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)])
+    if any(col >= n for col in reduced):
+        return None
+    return [[reduced[i].get(n + j, Fraction(0)) for j in range(n)] for i in range(n)]
 
 
 def rank_mod_prime(rows):

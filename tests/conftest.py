@@ -4,7 +4,11 @@ from itertools import combinations, permutations
 import pytest
 
 from lcslie import corpus, linalg
-from lcslie.exterior import KForm, basis_form
+from lcslie.algebra import abelian
+from lcslie.exterior import (
+    KForm, basis_form, ce_differential, form_basis, form_to_vector, vector_to_form,
+)
+from lcslie.lcs import gram_matrix
 
 
 @pytest.fixture(scope="session")
@@ -123,6 +127,16 @@ def dense():
         return [[row.get(j, Fraction(0)) for j in range(ncols)] for row in rows]
 
     return to_dense
+
+
+@pytest.fixture(scope="session")
+def mat_vec():
+    """The product of a dense matrix and a vector, over Fractions."""
+
+    def product(a, v):
+        return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+
+    return product
 
 
 @pytest.fixture(scope="session")
@@ -262,3 +276,59 @@ def _jacobi_walk(g):
 @pytest.fixture(scope="session")
 def jacobi_walk():
     return _jacobi_walk
+
+
+def _covector_automorphisms(g, omega):
+    """Basis of g_omega from the dense system ad_X^T G + G ad_X = 0.
+
+    The (j, k) entry of ad_{e_i}^T G + G ad_{e_i} is omega([e_i,e_j], e_k) -
+    omega([e_i,e_k], e_j), each omega(v, .) a combination of Gram rows; the
+    entries with j < k form column i of a C(n,2) x n system, whose nullspace
+    is returned.
+    """
+    n = g.dim
+    gram = gram_matrix(omega)
+
+    def covector(v):
+        return [sum((c * row[k] for c, row in zip(v, gram)), Fraction(0)) for k in range(n)]
+
+    columns = []
+    for i in range(1, n + 1):
+        lie = [covector(g.basis_bracket(i, j)) for j in range(1, n + 1)]
+        columns.append([lie[j][k] - lie[k][j] for j, k in combinations(range(n), 2)])
+    return linalg.nullspace(linalg.transpose(columns))
+
+
+@pytest.fixture(scope="session")
+def covector_automorphisms():
+    return _covector_automorphisms
+
+
+def _twist_lee_form(g, omega):
+    """theta with d(omega) = theta ^ omega by a linear solve, or None; raises like recover_lee_form.
+
+    d vanishes on the abelian algebra, so its twist gives the columns
+    d_(-e^i)(omega) = e^i ^ omega of the map theta -> theta ^ omega.  Fewer
+    than n independent columns means theta is not unique; otherwise
+    sparse_solve finds the solution, returned when it is closed.
+    """
+    n = g.dim
+    if linalg.nullspace(gram_matrix(omega)):
+        raise ValueError("omega is degenerate; the Lee form is not determined")
+    three_basis = form_basis(n, 3)
+    flat = abelian(n)
+    columns = [form_to_vector(ce_differential(flat, omega, -basis_form(n, (i,))), three_basis)
+               for i in range(1, n + 1)]
+    if len(linalg.rref(columns)) != n:
+        raise ValueError("theta is not unique; omega does not determine a Lee form")
+    rows = [{i: x for i, x in enumerate(row) if x} for row in linalg.transpose(columns)]
+    solution = linalg.sparse_solve(rows, n, form_to_vector(ce_differential(g, omega), three_basis))
+    if solution is None:
+        return None
+    theta = vector_to_form(n, 1, solution)
+    return theta if ce_differential(g, theta).is_zero() else None
+
+
+@pytest.fixture(scope="session")
+def twist_lee_form():
+    return _twist_lee_form

@@ -409,7 +409,7 @@ def test_regress_flags_a_corrupted_expectation(capsys, tmp_path):
 ])
 def test_regress_names_each_corrupted_verdict(capsys, tmp_path, recorded, corrupted, failure):
     packaged = next(
-        line for line in open(default_corpus_path(), encoding="utf-8")
+        line for line in Path(default_corpus_path()).read_text(encoding="utf-8").splitlines(True)
         if line.startswith("name=rr3-1 ")
     )
     path = tmp_path / "bad.txt"
@@ -453,6 +453,29 @@ def test_a_corpus_that_is_not_utf8_is_bad_input(capsys, tmp_path):
         assert err.startswith("error: 'utf-8' codec can't decode"), command
 
 
+def test_a_corpus_that_is_not_utf8_is_named_in_the_error(capsys, tmp_path, monkeypatch):
+    # read from $LCSLIE_CORPUS, the path is not even on the command line
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(RR3L_LINE.replace("λ", "l").encode() + b" note='\xe9'\n")
+    monkeypatch.setenv("LCSLIE_CORPUS", str(path))
+    code, out, err = run(capsys, "regress")
+    assert code == 2 and out == ""
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xe9")
+    assert err.endswith(f" in {path}\n")
+
+
+def test_a_rep_file_that_is_not_utf8_is_named_in_the_error(capsys, tmp_path):
+    # with a corpus and a rep file on one command line, the message says which is bad
+    rep = tmp_path / "rep_latin1.txt"
+    rep.write_bytes(b"vdim=2\nmat1=-1/2,0;0,-1/2\nmat2=0\nmat3=0\nmat4=0\n# \xe9\n")
+    code, out, err = run(
+        capsys, "extend", default_corpus_path(), "--name", "rr3-1", "--rep-file", str(rep)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xe9")
+    assert err.endswith(f" in {rep}\n")
+
+
 def test_regress_env_fallback(capsys, tmp_path, monkeypatch):
     path = tmp_path / "env.txt"
     path.write_text(RR3L_LINE + "\n")
@@ -468,7 +491,7 @@ def test_regress_isolates_a_record_that_raises(capsys, tmp_path):
     # in dimension 2 omega does not determine the Lee form, so
     # recover_lee_form raises; the next record must still be checked
     packaged = next(
-        line for line in open(default_corpus_path(), encoding="utf-8")
+        line for line in Path(default_corpus_path()).read_text(encoding="utf-8").splitlines(True)
         if line.startswith("name=rr3-1 ")
     )
     path = tmp_path / "two.txt"

@@ -26,13 +26,14 @@ from lcslie.exterior import (
     form_basis,
     form_masks,
     form_to_vector,
+    interior,
     is_unimodular,
     mask_key,
     one_form,
     vector_to_form,
     weight_block,
 )
-from lcslie.lcs import gram_matrix
+from lcslie.lcs import gram_matrix, lee_value
 from lcslie.notation import parse_structure_equations
 
 
@@ -119,6 +120,34 @@ def test_evaluate_determinant_convention(evaluate):
         assert value(omega, x, y) == evaluate(omega, x, y) == -value(omega, y, x)
         two_x = [2 * c for c in x]
         assert value(omega, two_x, y) == 2 * value(omega, x, y)
+
+
+def test_interior_evaluates_the_first_argument(evaluate):
+    rng = random.Random(41)
+    for _ in range(40):
+        dim = rng.randint(2, 6)
+        degree = rng.randint(1, min(dim, 4))
+        a = random_form(rng, dim, degree)
+        x, *ys = (random_vector(rng, dim) for _ in range(degree))
+        assert evaluate(interior(x, a), *ys) == evaluate(a, x, *ys)
+
+
+def test_interior_of_a_2_form_is_the_gram_product():
+    rng = random.Random(43)
+    for dim in (2, 4, 6, 8):
+        omega = random_form(rng, dim, 2)
+        gram = gram_matrix(omega)
+        x, y = random_vector(rng, dim), random_vector(rng, dim)
+        expected = sum((a * g * b for a, row in zip(x, gram) for g, b in zip(row, y)), Fraction(0))
+        assert lee_value(interior(x, omega), y) == expected
+
+
+def test_interior_twice_is_zero():
+    rng = random.Random(47)
+    for dim in (3, 5, 7):
+        for degree in range(2, dim + 1):
+            a, x = random_form(rng, dim, degree), random_vector(rng, dim)
+            assert interior(x, interior(x, a)).is_zero()
 
 
 def test_kform_validation():
@@ -253,8 +282,8 @@ def test_ce_differential_matches_the_wedge_antiderivation(shipped, wedge, wedge_
 
 
 def test_twist_on_the_abelian_algebra_is_minus_the_wedge(wedge):
-    # d = 0 on an abelian algebra, so d_theta(a) = -theta ^ a: recover_lee_form
-    # reads the vectors e^i ^ omega off this twist term
+    # d = 0 on an abelian algebra, so d_theta(a) = -theta ^ a: the twist-solve
+    # oracle of the Lee form reads the vectors e^i ^ omega off this twist term
     rng = random.Random(37)
     for dim in (2, 4, 6):
         flat = abelian(dim)

@@ -1,10 +1,13 @@
 """Verification, classification, exactness, Lee-form recovery."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcslie import linalg
+from lcslie.construct import Representation, extend, standard_symplectic
 from lcslie.exterior import KForm, basis_form, ce_differential, one_form
 from lcslie.lcs import (
     Kind,
@@ -38,14 +41,14 @@ def test_corpus_records_verify(shipped):
             assert str(LCSStructure(g, omega, theta).verdict.kind) == entry.kind, entry.name
 
 
-def test_check_reports_first_failure(wedge):
+def test_check_reports_first_failure(wedge, mat_vec):
     g = parse_structure_equations(RR31)
     theta = one_form(4, [1, 0, 0, 0])
     degenerate = basis_form(4, (1, 2))
     result = check_lcs(g, degenerate, theta)
     assert not result and result.failure == "omega is degenerate"
     # the witness is a kernel vector of the Gram matrix
-    assert linalg.mat_vec(gram_matrix(degenerate), result.witness) == [Fraction(0)] * 4
+    assert mat_vec(gram_matrix(degenerate), result.witness) == [Fraction(0)] * 4
 
     not_closed = one_form(4, [0, 1, 0, 0])
     result = check_lcs(g, KForm(4, 2, {(1, 2): 1, (3, 4): 1}), not_closed)
@@ -180,3 +183,75 @@ def test_symplectic_structure_recovers_zero():
     recovered = recover_lee_form(g, omega)
     assert recovered == one_form(4, [0, 0, 0, 0])
     assert LCSStructure(g, omega, recovered).verdict.kind is Kind.SYMPLECTIC
+
+
+@pytest.fixture(scope="module")
+def lcs_pool(shipped):
+    """Two lists of (g, omega, theta).  The first holds the corpus structures
+    and the scalar extensions of the dim-4 ones by pi = -theta/2 * Id on R^2
+    and R^4 (dims 6 and 8).  The second holds edge cases: two dim-2
+    algebras, and h3 + R^3, on which every candidate theta is closed (no
+    3-form d(omega) has a term with e^6), so d(omega) = theta ^ omega alone
+    decides solvability."""
+    pool = []
+    for entry in shipped:
+        if entry.omega is None or entry.theta is None:
+            continue
+        structure = entry_structure(entry)
+        pool.append((structure.algebra, structure.omega, structure.theta))
+        if entry.dim != 4 or structure.theta.is_zero():
+            continue
+        for vdim in (2, 4):
+            space = standard_symplectic(vdim)
+            mats = [[[-structure.theta.coefficient((i,)) / 2 * (a == b) for b in range(vdim)]
+                     for a in range(vdim)] for i in range(1, 5)]
+            product = extend(structure, Representation(structure.algebra, space, mats))
+            pool.append((product.algebra, product.omega, product.theta))
+    edge = [(parse_structure_equations(text), basis_form(2, (1, 2)), one_form(2, [0, 0]))
+            for text in ("(0,-12)", "(0,0)")]
+    edge.append((parse_structure_equations("(0,0,0,0,0,-12)"),
+                 KForm(6, 2, {(1, 6): 1, (2, 3): 1, (4, 5): 1}), one_form(6, [0] * 6)))
+    return pool, edge
+
+
+@st.composite
+def omegas(draw, pool):
+    """(g, omega) with omega drawn from a pool structure (g, omega_0, theta):
+    omega_0 + d_theta(eta), which is LCS with Lee form theta unless it
+    degenerates; a random 2-form, mostly unsolvable; or a random 2-form
+    that omits e^n, so degenerate."""
+    structures, edge = pool
+    g, omega0, theta = draw(st.one_of(st.sampled_from(structures), st.sampled_from(edge)))
+    n = g.dim
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    mode = draw(st.sampled_from(("perturbed", "random", "degenerate")))
+    if mode == "perturbed":
+        eta = one_form(n, draw(st.lists(small, min_size=n, max_size=n)))
+        return g, omega0 + ce_differential(g, eta, theta)
+    pairs = list(combinations(range(1, n + 1 if mode == "random" else n), 2))
+    values = draw(st.lists(small, min_size=len(pairs), max_size=len(pairs)))
+    return g, KForm(n, 2, dict(zip(pairs, values)))
+
+
+def outcome(function, *args):
+    """The return value, or the message of the ValueError raised."""
+    try:
+        return function(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_recover_lee_form_agrees_with_the_twist_solve(lcs_pool, twist_lee_form, data):
+    g, omega = data.draw(omegas(lcs_pool))
+    assert outcome(recover_lee_form, g, omega) == outcome(twist_lee_form, g, omega)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_automorphism_algebra_agrees_with_the_covector_system(
+    lcs_pool, covector_automorphisms, data
+):
+    g, omega = data.draw(omegas(lcs_pool))
+    assert automorphism_algebra(g, omega) == covector_automorphisms(g, omega)

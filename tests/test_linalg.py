@@ -47,7 +47,7 @@ def sparse_matrices(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(sparse_matrices())
-def test_sparse_rank_and_kernel_match_sympy(dense, data):
+def test_sparse_rank_and_kernel_match_sympy(dense, mat_vec, data):
     rows, ncols = data
     s = sympy.Matrix(len(rows), ncols, lambda i, j: sympy.Rational(rows[i].get(j, 0)))
     pivots = linalg.eliminate(rows)
@@ -57,7 +57,7 @@ def test_sparse_rank_and_kernel_match_sympy(dense, data):
     assert len(basis) == ncols - s.rank()
     matrix = dense(rows, ncols)
     for v in dense(basis, ncols):
-        assert linalg.mat_vec(matrix, v) == [0] * len(rows)
+        assert mat_vec(matrix, v) == [0] * len(rows)
     assert linalg.rank(basis) == len(basis)
 
 
@@ -119,7 +119,7 @@ def test_sparse_solve_answers_in_fractions_on_integer_rows():
 
 @settings(max_examples=100, deadline=None)
 @given(sparse_matrices(), st.lists(st.integers(-3, 3), min_size=7, max_size=7))
-def test_sparse_solve_agrees_with_dense_solve(dense, data, b):
+def test_sparse_solve_agrees_with_dense_solve(dense, mat_vec, data, b):
     """None exactly when sympy's rref of [rows | b] has a pivot on b."""
     rows, ncols = data
     b = [Fraction(x) for x in b[: len(rows)]]
@@ -130,7 +130,7 @@ def test_sparse_solve_agrees_with_dense_solve(dense, data, b):
     if x is None:
         assert ncols in augmented.rref()[1]
     else:
-        assert linalg.mat_vec(matrix, x) == b
+        assert mat_vec(matrix, x) == b
 
 
 def test_det_of_int_matrices_is_exact():
@@ -182,7 +182,7 @@ def test_rank_of_empty_and_zero(sparse):
     assert linalg.rank(sparse([[int(i == j) for j in range(5)] for i in range(5)])) == 5
 
 
-def test_nullspace_vectors_are_in_the_kernel(sparse):
+def test_nullspace_vectors_are_in_the_kernel(sparse, mat_vec):
     rng = random.Random(11)
     for _ in range(40):
         rows = rng.randint(1, 5)
@@ -191,7 +191,7 @@ def test_nullspace_vectors_are_in_the_kernel(sparse):
         basis = linalg.nullspace(a)
         assert len(basis) == cols - linalg.rank(sparse(a))
         for v in basis:
-            assert linalg.mat_vec(a, v) == [Fraction(0)] * rows
+            assert mat_vec(a, v) == [Fraction(0)] * rows
         assert linalg.rank(sparse(basis)) == len(basis) if basis else True
 
 
@@ -200,7 +200,7 @@ def test_nullspace_rejects_empty_matrix():
         linalg.nullspace([])
 
 
-def test_solve_consistent_and_inconsistent(sparse):
+def test_solve_consistent_and_inconsistent(sparse, mat_vec):
     a = sparse([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
     assert linalg.sparse_solve(a, 2, [Fraction(3), Fraction(6)]) is not None
     assert linalg.sparse_solve(a, 2, [Fraction(3), Fraction(7)]) is None
@@ -209,10 +209,10 @@ def test_solve_consistent_and_inconsistent(sparse):
         n = rng.randint(1, 4)
         m = random_matrix(rng, rng.randint(1, 4), n)
         x = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-        b = linalg.mat_vec(m, x)
+        b = mat_vec(m, x)
         got = linalg.sparse_solve(sparse(m), n, b)
         assert got is not None
-        assert linalg.mat_vec(m, got) == b
+        assert mat_vec(m, got) == b
 
 
 def test_in_span():
