@@ -15,7 +15,8 @@ deterministic for identical inputs and flags.  `regress` falls back to
 $LCSLIE_CORPUS and then to the packaged corpus when no file is given.
 
 `regress` runs its records in file order; a record whose checks raise
-is reported as a failed record naming the step, and the run goes on.
+is reported as a failed record naming the step, and the run goes on;
+`cohomology` likewise names a record it cannot compute and goes on.
 
 Exit status: 0 on success, 1 when a verification fails, 2 on bad usage
 or unparseable input.
@@ -162,25 +163,28 @@ def cmd_cohomology(args):
     reports = []
     for entry, g in _load_targets(args, need_forms=False):
         theta = entry.theta if entry.theta is not None else (Fraction(0),) * g.dim
-        reports.append((entry.name, theta, novikov.cohomology(g, one_form(g.dim, theta))))
+        try:
+            rep = novikov.cohomology(g, one_form(g.dim, theta))
+        except (ValueError, RuntimeError) as exc:  # fails this record, naming it; the run goes on
+            reports.append({"name": entry.name, "failure": str(exc)})
+            continue
+        reports.append({"name": entry.name, "theta": [str(c) for c in theta],
+                        "betti": list(rep.betti), "twisted_betti": list(rep.twisted_betti),
+                        "_theta_text": _format_vector(theta)})
     if args.json:
-        payload = [
-            {
-                "name": name,
-                "theta": [str(c) for c in theta],
-                "betti": list(rep.betti),
-                "twisted_betti": list(rep.twisted_betti),
-            }
-            for name, theta, rep in reports
-        ]
-        print(json.dumps({"records": payload}, sort_keys=True, indent=2))
+        for report in reports:
+            report.pop("_theta_text", None)
+        print(json.dumps({"records": reports}, sort_keys=True, indent=2))
     else:
-        for name, theta, rep in reports:
-            print(f"{name}:")
-            print("  betti: " + ",".join(str(b) for b in rep.betti))
-            print(f"  twisted (theta = {_format_vector(theta)}): "
-                  + ",".join(str(b) for b in rep.twisted_betti))
-    return 0
+        for report in reports:
+            if "failure" in report:
+                print(f"{report['name']}: failed ({report['failure']})")
+                continue
+            print(f"{report['name']}:")
+            print("  betti: " + ",".join(str(b) for b in report["betti"]))
+            print(f"  twisted (theta = {report['_theta_text']}): "
+                  + ",".join(str(b) for b in report["twisted_betti"]))
+    return 1 if any("failure" in report for report in reports) else 0
 
 
 def _parse_rep_file(path, hdim):

@@ -2,19 +2,19 @@
 
 Two representations are used.  The Chevalley-Eilenberg differentials
 are large and very sparse (often one or two nonzeros per row), so they
-are sparse matrices: lists of rows, each a dict {column: entry}, with
-integer entries (exterior.differential_matrix scales d_theta to clear its
-denominators; rational rows are accepted and cleared row by row).  Their
-ranks and kernels come from one fraction-free sparse Gauss-Jordan
-elimination (eliminate), which takes the sparsest rows first and keeps
-every row integral; rank_mod_prime is a separate elimination over GF(p)
-that checks it, and sparse_solve reads one Fraction solution off
-eliminate's integer kernel.  The small systems (Gram matrices,
-automorphism algebras, a change of basis, the Lee form) are dense lists
-of rows of fractions.Fraction; rref reduces them in order, with leftmost
-pivots, to their reduced row echelon form, whose length is the rank,
-whose kernel nullspace reads off, and from which inverse reads A^-1;
-char_poly_exact gives the characteristic polynomial of a small dense matrix.
+are sparse matrices: lists of rows, each a dict {column: int}
+(exterior.differential_matrix scales d_theta to clear its denominators).
+Their ranks and kernels come from one fraction-free sparse Gauss-Jordan
+elimination (eliminate), which takes the sparsest rows first, keeps every
+row integral and reports the input row behind each pivot, so that
+rank_mod_prime of that pivot minor can certify the rank; sparse_solve
+reads one Fraction solution off eliminate's integer kernel.  The small
+systems (Gram matrices, automorphism algebras, a change of basis, the Lee
+form) are dense lists of rows of fractions.Fraction; rref reduces them in
+order, with leftmost pivots, to their reduced row echelon form, whose
+length is the rank, whose kernel nullspace reads off, and from which
+inverse reads A^-1; char_poly_exact gives the characteristic polynomial
+of a small dense matrix.
 """
 
 from fractions import Fraction
@@ -59,7 +59,7 @@ def char_poly_exact(mat):
 # A sparse matrix is a list of rows, each a dict {column: nonzero entry};
 # empty rows are kept, and the column count is carried by the caller.
 
-# The Mersenne prime 2^61 - 1, modulus of the independent rank check.
+# The Mersenne prime 2^61 - 1, modulus of rank_mod_prime.
 RANK_CHECK_PRIME = (1 << 61) - 1
 
 
@@ -94,12 +94,6 @@ def _subtract(row, c, pivot_row):
             del row[j]
 
 
-def _integral(row):
-    """The row times the least positive integer that clears its denominators, as ints."""
-    den = lcm(*(x.denominator for x in row.values()))
-    return {j: x.numerator * (den // x.denominator) for j, x in row.items()}
-
-
 def _cross(row, c, p, pivot_row):
     """row = (p * row - c * pivot_row) / gcd(p, c), in place.
 
@@ -126,9 +120,8 @@ def _primitive(row, col):
 def eliminate(rows):
     """Fraction-free sparse Gauss-Jordan elimination over the integers.
 
-    Rows may hold ints or Fractions; each is cleared of its denominators
-    once, and the pivot rows hold ints, each divided by its content with a
-    positive pivot, so they are the primitive integer multiples of the
+    Rows hold ints.  The pivot rows are each divided by their content, with
+    a positive pivot, so they are the primitive integer multiples of the
     rational reduced rows (Bareiss, Math. Comp. 22, 1968, keeps the
     entries integral the same way).  Rows are taken sparsest first.  Each
     is reduced against the pivot rows found so far, which hold no pivot
@@ -136,13 +129,13 @@ def eliminate(rows):
     pass leaves only non-pivot columns.  If anything is left, the row
     becomes a pivot row on the column that occurs in the fewest pivot
     rows (leftmost on ties), and that column is cleared from the pivot
-    rows holding it.  Returns {pivot column: reduced row}; its length is
-    the rank.
+    rows holding it.  Returns {pivot column: reduced row}, whose length is
+    the rank, and {pivot column: index of the input row that became it}.
     """
-    pivots = {}
+    pivots, sources = {}, {}
     holders = {}  # non-pivot column -> pivot columns whose rows hold it
-    for row in sorted(rows, key=len):
-        row = _integral(row)
+    for i in sorted(range(len(rows)), key=lambda i: len(rows[i])):
+        row = dict(rows[i])
         for hit in [j for j in row if j in pivots]:
             pivot_row = pivots[hit]
             _cross(row, row[hit], pivot_row[hit], pivot_row)
@@ -163,13 +156,13 @@ def eliminate(rows):
         for j in row:
             if j != col:
                 holders.setdefault(j, set()).add(col)
-        pivots[col] = row
-    return pivots
+        pivots[col], sources[col] = row, i
+    return pivots, sources
 
 
 def rank(rows):
     """Rank of a sparse matrix, by eliminate."""
-    return len(eliminate(rows))
+    return len(eliminate(rows)[0])
 
 
 def kernel(pivots, ncols):
@@ -198,14 +191,16 @@ def kernel(pivots, ncols):
 def sparse_solve(rows, ncols, b):
     """One solution x (dense Fractions) of rows x = b, or None when inconsistent.
 
-    With b as column ncols, a kernel vector v of [rows | b] with
-    v[ncols] != 0 gives x = -v[:ncols] / v[ncols]; the kernel basis has
-    one exactly when b lies in the column span.
+    b holds Fractions; with D b as column ncols, D the least common
+    denominator of b, a kernel vector v of [rows | D b] with v[ncols] != 0
+    gives x = -v[:ncols] / (D v[ncols]); the kernel basis has one exactly
+    when b lies in the column span.
     """
-    augmented = [{**row, ncols: v} if v else row for row, v in zip(rows, b)]
-    for v in kernel(eliminate(augmented), ncols + 1):
+    den = lcm(*(y.denominator for y in b))
+    augmented = [{**row, ncols: int(y * den)} if y else row for row, y in zip(rows, b)]
+    for v in kernel(eliminate(augmented)[0], ncols + 1):
         if ncols in v:
-            return [Fraction(-v.get(j, 0), v[ncols]) for j in range(ncols)]
+            return [Fraction(-v.get(j, 0), v[ncols] * den) for j in range(ncols)]
     return None
 
 
@@ -247,18 +242,18 @@ def inverse(a):
 
 
 def rank_mod_prime(rows):
-    """Rank over GF(p), p = RANK_CHECK_PRIME, of the rows cleared of denominators.
+    """Rank over GF(p), p = RANK_CHECK_PRIME, of sparse integer rows.
 
     It never exceeds the rank r over the rationals, and equals it unless p
     divides every r x r minor (see Dumas and Villard, "Computing the rank
-    of large sparse matrices over finite fields", CASC 2002).
-    This is a separate elimination from eliminate, over another field, so
-    that it can check it.
+    of large sparse matrices over finite fields", CASC 2002).  So r rows of
+    rank r mod p certify an exact rank of at least r (Kaltofen, Nehring and
+    Saunders, "Quadratic-time certificates in linear algebra", ISSAC 2011).
     """
     p = RANK_CHECK_PRIME
     pivots = {}
     for row in rows:
-        row = {j: v for j, x in _integral(row).items() if (v := x % p)}
+        row = {j: v for j, x in row.items() if (v := x % p)}
         while row:
             col = min(row)
             if col not in pivots:

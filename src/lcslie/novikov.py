@@ -19,16 +19,16 @@ dimensions, through the ranks an acyclic complex of their sizes has.
 The degree-wise matrices are integral: exterior.differential_matrix
 gives L d_theta, with L the least common denominator of the structure
 constants and theta, which has the ranks and kernels of d_theta.  The
-rank of each comes from one fraction-free elimination and is certified
-from both sides: the integer kernel vectors it yields are independent
-and multiply to zero (so the rank is at most r), and a separate
-elimination modulo a prime finds rank r too (so it is at least r).
-Disagreement, d_theta squaring to nonzero, or a term of d_theta leaving
-its block raises.
+rank r of each comes from one fraction-free elimination and is certified
+from both sides: its integer kernel vectors multiply to zero (rank <= r),
+and the minor on the input rows that became pivots and the pivot columns
+is nonsingular (rank >= r), a check that a wrong rank fails whatever the
+elimination did.  Disagreement, d_theta squaring to nonzero, or a term
+of d_theta leaving its block raises.
 """
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, lcm
 
 from . import linalg
 from .exterior import ce_differential, differential_matrix, form_to_vector, weight_block
@@ -54,21 +54,22 @@ class CohomologyReport:
 
 
 def _certified_rank(matrix, ncols, k):
-    """Rank r of a sparse matrix M, certified by its kernel and by a rank mod p.
+    """Rank r of a sparse matrix M, certified by its kernel and a pivot minor.
 
-    Each kernel vector built from eliminate's rows is nonzero at exactly
-    one non-pivot column, a different one for each, so they are
-    independent, and ncols - r of them with M v = 0 put the rank at most
-    r.  The rank mod p is at most the rank, so equal to r it puts the rank
-    at least r.
+    linalg.kernel gives one vector per non-pivot column, nonzero there and
+    elsewhere only on pivot columns, so with M v = 0 they put the rank at
+    most r.  The minor on eliminate's source rows and pivot columns (a
+    pivot column outside M leaves it a column short) puts it at least r if
+    it has rank r mod p, or else, when p divides its determinant, by rref.
     """
-    pivots = linalg.eliminate(matrix)
+    pivots, sources = linalg.eliminate(matrix)
     r = len(pivots)
     kernel = linalg.kernel(pivots, ncols)
-    free = [tuple(j for j in v if j not in pivots) for v in kernel]
-    independent = all(len(f) == 1 for f in free) and len(set(free)) == len(free) == ncols - r
     images = linalg.sparse_mul(kernel, linalg.sparse_transpose(matrix, ncols))
-    if not independent or any(images) or linalg.rank_mod_prime(matrix) != r:
+    order = {col: t for t, col in enumerate(pivots)}  # in eliminate's order, mod p fills in less
+    minor = [{order[j]: x for j, x in matrix[sources[col]].items() if j in order} for col in pivots]
+    if any(images) or linalg.rank_mod_prime(minor) < r and len(linalg.rref(
+            [[row.get(t, 0) for t in range(r)] for row in minor])) < r:
         raise RuntimeError(f"rank/kernel mismatch in degree {k}")
     return r
 
@@ -124,7 +125,7 @@ def is_exact_class(g, theta, a):
         return a.is_zero()
     matrix = differential_matrix(g, a.degree - 1, theta)
     column = comb(g.dim, a.degree - 1)
-    augmented = [
-        {**row, column: v} if v else row for row, v in zip(matrix, form_to_vector(a))
-    ]
+    b = form_to_vector(a)
+    den = lcm(*(y.denominator for y in b))  # an integer column, of the same rank
+    augmented = [{**row, column: int(y * den)} if y else row for row, y in zip(matrix, b)]
     return linalg.rank(matrix) == linalg.rank(augmented)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
 
 import pytest
 
@@ -310,7 +311,9 @@ def _twist_lee_form(g, omega):
     d vanishes on the abelian algebra, so its twist gives the columns
     d_(-e^i)(omega) = e^i ^ omega of the map theta -> theta ^ omega.  Fewer
     than n independent columns means theta is not unique; otherwise
-    sparse_solve finds the solution, returned when it is closed.
+    sparse_solve finds the solution, returned when it is closed.  Each row
+    and its entry of d(omega) are scaled to clear the row's denominators,
+    as sparse_solve takes integer rows.
     """
     n = g.dim
     if linalg.nullspace(gram_matrix(omega)):
@@ -321,8 +324,13 @@ def _twist_lee_form(g, omega):
                for i in range(1, n + 1)]
     if len(linalg.rref(columns)) != n:
         raise ValueError("theta is not unique; omega does not determine a Lee form")
-    rows = [{i: x for i, x in enumerate(row) if x} for row in linalg.transpose(columns)]
-    solution = linalg.sparse_solve(rows, n, form_to_vector(ce_differential(g, omega), three_basis))
+    rows, b = [], []
+    for row, y in zip(linalg.transpose(columns),
+                      form_to_vector(ce_differential(g, omega), three_basis)):
+        den = lcm(*(x.denominator for x in row))
+        rows.append({i: int(x * den) for i, x in enumerate(row) if x})
+        b.append(y * den)
+    solution = linalg.sparse_solve(rows, n, b)
     if solution is None:
         return None
     theta = vector_to_form(n, 1, solution)

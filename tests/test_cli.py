@@ -167,6 +167,32 @@ def test_cohomology_defaults_to_untwisted(capsys):
     assert record["betti"] == record["twisted_betti"] == [1, 4, 6, 4, 1]
 
 
+def test_cohomology_reports_a_failing_record_by_name_and_goes_on(capsys, tmp_path):
+    # e^2 is not closed on (0,-12,13,0), so the middle record has no twisted complex
+    path = tmp_path / "mixed.txt"
+    path.write_text("name=a dim=4 eq='(0,0,0,0)'\n"
+                    "name=b dim=4 eq='(0,-12,13,0)' theta=0,1,0,0\n"
+                    "name=c dim=4 eq='(0,0,-12,0)' theta=0,0,0,-1\n")
+    reason = "theta is not closed; the twisted differential would not square to zero"
+    code, out, err = run(capsys, "cohomology", str(path))
+    assert code == 1 and err == ""
+    assert out == ("a:\n  betti: 1,4,6,4,1\n  twisted (theta = 0): 1,4,6,4,1\n"
+                   f"b: failed ({reason})\n"
+                   "c:\n  betti: 1,3,4,3,1\n  twisted (theta = -e4): 0,0,0,0,0\n")
+    code, out, _ = run(capsys, "cohomology", str(path), "--json")
+    assert code == 1
+    a, b, c = json.loads(out)["records"]
+    assert b == {"name": "b", "failure": reason}
+    assert (a["name"], c["name"], c["twisted_betti"]) == ("a", "c", [0, 0, 0, 0, 0])
+
+
+def test_cohomology_of_a_bracket_scaled_by_the_check_prime(capsys):
+    code, out, _ = run(capsys, "cohomology", "(0,0,2305843009213693951 12)", "--json")
+    assert code == 0
+    (record,) = json.loads(out)["records"]
+    assert record["betti"] == record["twisted_betti"] == [1, 2, 2, 1]
+
+
 @pytest.fixture
 def small_corpus(tmp_path):
     path = tmp_path / "corpus.txt"

@@ -206,19 +206,21 @@ def test_rank_certificate_catches_a_dropped_or_invented_pivot(monkeypatch, by_na
     # ext42 is graded, and its kept twisted block has pivots for "dropped" to drop
     keys = weight_block(g, theta) + [[]]
     assert sum(map(len, keys)) < 2**g.dim
-    assert any(honest(differential_matrix(g, k, theta, keys[k : k + 2])) for k in range(g.dim))
+    assert any(honest(differential_matrix(g, k, theta, keys[k : k + 2]))[0]
+               for k in range(g.dim))
 
-    def dropped(rows):
-        pivots = honest(rows)
+    def dropped(rows):  # the kernel vector of the dropped column is not in the kernel
+        pivots, sources = honest(rows)
         if pivots:
-            del pivots[next(iter(pivots))]
-        return pivots
+            col = next(iter(pivots))
+            del pivots[col], sources[col]
+        return pivots, sources
 
-    def invented(rows):
-        pivots = honest(rows)
-        if not any(rows):  # the zero matrix gains a pivot on column 0
-            pivots[0] = {0: Fraction(1)}
-        return pivots
+    def invented(rows):  # the zero matrix gains a pivot on column 0: its minor is 0
+        pivots, sources = honest(rows)
+        if rows and not any(rows):
+            pivots[0], sources[0] = {0: 1}, 0
+        return pivots, sources
 
     for bad in (dropped, invented):
         monkeypatch.setattr(linalg, "eliminate", bad)
@@ -226,6 +228,48 @@ def test_rank_certificate_catches_a_dropped_or_invented_pivot(monkeypatch, by_na
             cohomology(g, theta)
     monkeypatch.setattr(linalg, "eliminate", honest)
     assert cohomology(g, theta).betti == KNOWN["ext42"][0]
+
+
+def test_rank_certificate_catches_a_wrong_source_row(monkeypatch, by_name):
+    """The right pivots with a wrong input row behind one of them: the minor is singular."""
+    g, theta = by_name["ext42"].algebra(), by_name["ext42"].theta_form()
+    honest = linalg.eliminate
+
+    def duplicate(rows):  # the second pivot reports the first one's source
+        pivots, sources = honest(rows)
+        if len(sources) > 1:
+            first, second = list(sources)[:2]
+            sources[second] = sources[first]
+        return pivots, sources
+
+    def zero_row(rows):  # the first pivot reports an empty input row as its source
+        pivots, sources = honest(rows)
+        empty = [i for i, row in enumerate(rows) if not row]
+        if pivots and empty:
+            sources[next(iter(sources))] = empty[0]
+        return pivots, sources
+
+    for bad in (duplicate, zero_row):
+        monkeypatch.setattr(linalg, "eliminate", bad)
+        with pytest.raises(RuntimeError, match="rank/kernel mismatch in degree"):
+            cohomology(g, theta)
+
+
+def test_a_minor_that_the_check_prime_divides_is_certified_exactly(monkeypatch):
+    """h_3 with its bracket scaled by p = 2^61 - 1: every 1 x 1 minor of d on
+    1-forms is 0 mod p, so the rank is certified by the exact rref of the minor."""
+    p = linalg.RANK_CHECK_PRIME
+    g = parse_structure_equations(f"(0,0,{p} 12)")
+    honest, calls = linalg.rref, []
+
+    def counted(vectors):
+        calls.append(vectors)
+        return honest(vectors)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    report = cohomology(g, one_form(3, [0, 0, 0]))
+    assert report.betti == report.twisted_betti == (1, 2, 2, 1)
+    assert [[p]] in calls
 
 
 def test_a_differential_that_does_not_square_to_zero_raises(monkeypatch, by_name):
