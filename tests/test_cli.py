@@ -186,13 +186,6 @@ def test_cohomology_reports_a_failing_record_by_name_and_goes_on(capsys, tmp_pat
     assert (a["name"], c["name"], c["twisted_betti"]) == ("a", "c", [0, 0, 0, 0, 0])
 
 
-def test_cohomology_of_a_bracket_scaled_by_the_check_prime(capsys):
-    code, out, _ = run(capsys, "cohomology", "(0,0,2305843009213693951 12)", "--json")
-    assert code == 0
-    (record,) = json.loads(out)["records"]
-    assert record["betti"] == record["twisted_betti"] == [1, 2, 2, 1]
-
-
 @pytest.fixture
 def small_corpus(tmp_path):
     path = tmp_path / "corpus.txt"
