@@ -19,12 +19,13 @@ is reported as a failed record naming the step, and the run goes on;
 `cohomology` likewise names a record it cannot compute and goes on.
 
 Exit status: 0 on success, 1 when a verification fails, 2 on bad usage
-or unparseable input.
+or unparseable input, 141 when the reader closed stdout early.
 """
 
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -484,11 +485,25 @@ def _build_parser():
     return parser
 
 
+# 128 + SIGPIPE, the status a shell reports for a writer killed by a closed pipe
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here rather than at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone (`lcslie regress | head -1`), which is no error of
+        # the input; point stdout at devnull so that the flush at exit cannot
+        # raise again, as the Python signal docs recommend
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (UsageError, CorpusError, NotationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

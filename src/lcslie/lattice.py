@@ -1,18 +1,23 @@
 """Lattice certificates for the solvable group family R ltimes_phi R^6.
 
 The one-parameter group phi(t) = exp(t ad) of the almost abelian factor
-is diag(e^t, e^-t, 1) twice over.  At t_m = arccosh(m/2), m > 2 an
-integer, lambda = e^{t_m} satisfies lambda^2 = m lambda - 1, so phi(t_m)
-has its entries in the ring Z[lambda], whose elements are pairs
-a + b lambda.  The rows (1, mu, mu^2), mu in {lambda, lambda^-1, 1}, are
-left eigenvectors of the integer companion matrix C_m of
-x^3 - (m+1)x^2 + (m+1)x - 1, so the Vandermonde blocks P_m conjugate
-phi(t_m) to D_m = diag(C_m, C_m): phi(t_m) P_m = P_m D_m.  That identity
-and det P_m != 0, checked exactly in Z[lambda], are the lattice
-certificate.  An element a + b lambda is zero iff a = b = 0, because
-lambda is irrational (m^2 - 4 is not a square for m > 2).
+is diag(e^t, e^-t, 1) twice over: phi(t) = diag(phi_1(t), phi_1(t)).  At
+t_m = arccosh(m/2), m > 2 an integer, lambda = e^{t_m} satisfies
+lambda^2 = m lambda - 1, so phi(t_m) has its entries in the ring
+Z[lambda], whose elements are pairs a + b lambda.  The rows
+(1, mu, mu^2), mu in {lambda, lambda^-1, 1}, are left eigenvectors of
+the integer companion matrix C_m of x^3 - (m+1)x^2 + (m+1)x - 1, so the
+Vandermonde block Q_m conjugates phi_1(t_m) to C_m:
+phi_1(t_m) Q_m = Q_m C_m.  That identity and det Q_m != 0, checked
+exactly in Z[lambda], are the lattice certificate.  They are the whole
+of it: with P_m = diag(Q_m, Q_m) and D_m = diag(C_m, C_m),
+phi(t_m) P_m - P_m D_m = diag(phi_1 Q_m - Q_m C_m, phi_1 Q_m - Q_m C_m)
+and det P_m = (det Q_m)^2, which is nonzero iff det Q_m is, since
+Z[lambda] is a subring of R and so an integral domain.  An element
+a + b lambda is zero iff a = b = 0, because lambda is irrational
+(m^2 - 4 is not a square for m > 2).
 
-det P_m comes from Bareiss's fraction-free elimination, O(n^3) ring
+det Q_m comes from Bareiss's fraction-free elimination, O(n^3) ring
 operations where cofactor expansion takes n! terms.  Each update
 divides by the previous pivot, and the division is exact: every
 intermediate entry is a minor of the input (Sylvester's identity), so
@@ -22,18 +27,19 @@ for y = a + b lambda, an integer that is nonzero for y != 0, so
 x / y = x conj(y) / N(y) divides two integers by N(y).
 
 The quotient manifolds are distinguished pairwise by the integer
-characteristic polynomials of their integer models, computed once per
-certificate.  No floating point enters a verdict; t_m is reported as a
-float only.
+characteristic polynomials of their integer models and of the models'
+inverses, both computed once per certificate.  No floating point enters
+a verdict; t_m is reported as a float only.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 from math import log, log1p, sqrt
 
-# ad of the expanding direction on R^6, basis (e3, e6, e5, e4, e7, e8):
-# the diagonal, so phi(t) = diag(e^(t g) for g in PHI_GENERATOR).
-PHI_GENERATOR = (1, -1, 0, 1, -1, 0)
+# ad of the expanding direction on one R^3 block, basis (e3, e6, e5); the
+# other block, (e4, e7, e8), repeats it.  phi_1(t) = diag(e^(t g) for g in
+# PHI_GENERATOR) and phi(t) = diag(phi_1(t), phi_1(t)).
+PHI_GENERATOR = (1, -1, 0)
 
 _ZERO = (0, 0)
 _ONE = (1, 0)
@@ -162,24 +168,27 @@ def companion_matrix(coeffs):
 
 @dataclass(frozen=True)
 class LatticeCertificate:
-    """Witness that phi(t_m) = P_m D_m P_m^-1 with D_m integer.
+    """Witness that phi(t_m) = P_m D_m P_m^-1 with D_m integer, held as its block.
 
-    d_m holds integers, p_m pairs (a, b) standing for a + b lambda.
-    Construction verifies phi(t_m) P_m = P_m D_m and det P_m != 0
-    exactly in Z[lambda], and raises RuntimeError when either fails.
+    c_m is the integer companion matrix C_m, q_m the Vandermonde block Q_m
+    of pairs (a, b) standing for a + b lambda; D_m = diag(C_m, C_m) and
+    P_m = diag(Q_m, Q_m) are read off them.  Construction verifies
+    phi_1(t_m) Q_m = Q_m C_m and det Q_m != 0 exactly in Z[lambda], which
+    proves the same of P_m and D_m (see the module docstring), and raises
+    RuntimeError when either fails.
     """
 
     m: int
-    d_m: tuple
-    p_m: tuple
+    c_m: tuple
+    q_m: tuple
 
     def __post_init__(self):
         m = self.m
-        phi = [_lambda_power(g, m) for g in PHI_GENERATOR]
-        lhs = [[_mul(phi[i], x, m) for x in row] for i, row in enumerate(self.p_m)]
-        if lhs != _times_integer_matrix(self.p_m, self.d_m):
+        lhs = [[_mul(_lambda_power(g, m), x, m) for x in row]
+               for g, row in zip(PHI_GENERATOR, self.q_m)]
+        if lhs != _times_integer_matrix(self.q_m, self.c_m):
             raise RuntimeError(f"phi(t_m) P_m != P_m D_m for m={m}")
-        if _det(self.p_m, m) == _ZERO:
+        if _det(self.q_m, m) == _ZERO:
             raise RuntimeError(f"conjugator for m={m} is singular")
 
     @property
@@ -187,20 +196,41 @@ class LatticeCertificate:
         return t_parameter(self.m)
 
     @cached_property
+    def d_m(self):
+        """D_m = diag(C_m, C_m)."""
+        return _twice(self.c_m, 0)
+
+    @cached_property
+    def p_m(self):
+        """P_m = diag(Q_m, Q_m)."""
+        return _twice(self.q_m, _ZERO)
+
+    @cached_property
     def model_char_poly(self):
         """Characteristic polynomial (x - 1) p_m(x)^2 of R_m = diag(1, D_m)."""
         p = family_char_poly(self.m)
         return tuple(_poly_mul([1, -1], _poly_mul(p, p)))
 
+    @cached_property
+    def inverse_char_poly(self):
+        """Characteristic polynomial of R_m^-1, or None when it is not integral.
+
+        It is the reversed model polynomial divided by its constant term.
+        """
+        f = self.model_char_poly
+        if any(c % f[-1] for c in f):
+            return None
+        return tuple(c // f[-1] for c in reversed(f))
+
 
 def build_certificate(m):
     """Assemble the certificate for one family member; construction verifies it."""
-    d_m = _twice(companion_matrix(family_char_poly(m)[1:]), 0)
+    c_m = tuple(map(tuple, companion_matrix(family_char_poly(m)[1:])))
     q_m = []
-    for g in PHI_GENERATOR[:3]:
+    for g in PHI_GENERATOR:
         mu = _lambda_power(g, m)
         q_m.append((_ONE, mu, _mul(mu, mu, m)))
-    return LatticeCertificate(m, d_m, _twice(q_m, _ZERO))
+    return LatticeCertificate(m, c_m, tuple(q_m))
 
 
 def certificate_report(cert):
@@ -226,13 +256,9 @@ def distinguish_solvmanifolds(cert_m, cert_n):
     The integer models R_m = diag(1, D_m) of the two manifolds would be
     conjugate to each other or to an inverse if the manifolds matched,
     so a characteristic polynomial that differs from both that of R_n
-    and that of R_n^-1 separates them.  The latter is the reversed
-    polynomial of R_n divided by its constant term; comparing against
-    the product keeps it integral.  For this family the test is true
-    exactly when m != n.  Both polynomials are read off the certificates,
-    which compute them once.
+    and that of R_n^-1 separates them.  For this family the test is true
+    exactly when m != n.  Both polynomials are read off the certificate,
+    which computes each once.
     """
     f_m = cert_m.model_char_poly
-    f_n = cert_n.model_char_poly
-    reciprocal = tuple(c * f_n[-1] for c in f_m) == f_n[::-1]
-    return f_m != f_n and not reciprocal
+    return f_m != cert_n.model_char_poly and f_m != cert_n.inverse_char_poly

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in process."""
 
+import functools
 import json
 import math
 import os
@@ -377,6 +378,39 @@ def test_lattice_has_no_tol_option(capsys):
     capsys.readouterr()
 
 
+class ClosedPipe:
+    """A stdout whose reader is gone, over a real descriptor that main may redirect."""
+
+    def __init__(self, file):
+        self.fileno = file.fileno
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_a_closed_stdout_exits_141_without_an_error_line(capsys, monkeypatch, tmp_path):
+    with open(tmp_path / "out", "w") as file:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(file))
+        code = main(["lattice", "--m", "3"])
+    assert code == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_a_closed_pipe_is_not_bad_usage():
+    src = str(Path(lcslie.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.Popen([sys.executable, "-m", "lcslie.cli", "lattice", "--range", "3:400"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # before the first write, so that every write meets a closed pipe
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
+
+
 def test_regress_packaged_corpus(capsys):
     code, out, _ = run(capsys, "regress", "--json")
     assert code == 0
@@ -406,6 +440,16 @@ def test_cohomology_json_matches_the_recorded_snapshot(capsys):
     """Byte for byte, the plain and twisted Betti numbers of every packaged record."""
     snapshot = Path(__file__).parent / "data" / "cohomology_packaged.json"
     code, out, _ = run(capsys, "cohomology", str(default_corpus_path()), "--json")
+    assert code == 0
+    assert out == snapshot.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["json", "txt"])
+def test_lattice_output_matches_the_recorded_snapshot(capsys, fmt):
+    """Byte for byte, the certificates and pairwise verdicts of m = 3..10, JSON and text."""
+    snapshot = Path(__file__).parent / "data" / f"lattice_3_10.{fmt}"
+    flags = ["--json"] if fmt == "json" else []
+    code, out, _ = run(capsys, "lattice", "--range", "3:10", "--distinguish", *flags)
     assert code == 0
     assert out == snapshot.read_text(encoding="utf-8")
 
@@ -583,13 +627,21 @@ def test_lattice_builds_each_certificate_once(capsys, monkeypatch):
 
 
 def test_lattice_pairs_build_no_model_polynomials(capsys, monkeypatch):
-    # 15 pairs for 3:7, 55 for 3:12; the model polynomials are built per certificate
+    # 15 pairs for 3:7, 55 for 3:12; the model polynomials are built per
+    # certificate, and each inverse polynomial at most once: m = 3 is never
+    # the n of a pair with m != n, so its inverse is not needed
     per_certificate = []
+    original = lattice.LatticeCertificate.inverse_char_poly.func
     for window, size in (("3:7", 5), ("3:12", 10)):
         calls = counting(monkeypatch, lattice, "family_char_poly")
+        inverses = []
+        counted = functools.cached_property(lambda cert: inverses.append(cert.m) or original(cert))
+        counted.__set_name__(lattice.LatticeCertificate, "inverse_char_poly")
+        monkeypatch.setattr(lattice.LatticeCertificate, "inverse_char_poly", counted)
         code, _, _ = run(capsys, "lattice", "--range", window, "--distinguish", "--json")
         assert code == 0
         per_certificate.append(len(calls) / size)
+        assert sorted(inverses) == list(range(4, 3 + size))
         monkeypatch.undo()
     assert per_certificate[0] == per_certificate[1]
 

@@ -19,7 +19,7 @@ from lcslie.lattice import (
     family_char_poly,
     t_parameter,
 )
-from lcslie.linalg import char_poly_exact
+from lcslie.linalg import char_poly_exact, inverse
 
 
 def test_t_parameter_inverts_cosh():
@@ -97,29 +97,44 @@ def test_certificates_for_the_whole_range(conjugation_failures):
 def test_certificate_check_can_fail():
     right, wrong = build_certificate(5), build_certificate(6)
     with pytest.raises(RuntimeError, match="P_m != P_m D_m for m=5"):
-        LatticeCertificate(5, wrong.d_m, right.p_m)
-    singular = tuple(((0, 0),) * 6 for _ in range(6))
-    with pytest.raises(RuntimeError, match="singular"):
-        LatticeCertificate(5, right.d_m, singular)
+        LatticeCertificate(5, wrong.c_m, right.q_m)
+    singular = ((0, 0),) * 3
+    with pytest.raises(RuntimeError, match="conjugator for m=5 is singular"):
+        LatticeCertificate(5, right.c_m, (singular,) * 3)
 
 
 def test_a_conjugating_but_singular_p_is_refused(conjugation_failures):
-    # diag(Q_5, 0) satisfies phi P = P D, since D_5 = diag(C_5, C_5) is block
-    # diagonal, so only the determinant can refuse it
+    # Q_5 with its third row zeroed still satisfies phi_1 Q = Q C_5 row by
+    # row, and so does diag(Q, Q) for phi and D_5, so only the determinant
+    # can refuse it
     right = build_certificate(5)
+    q = right.q_m[:2] + (((0, 0),) * 3,)
     pad = ((0, 0),) * 3
-    p = tuple(row[:3] + pad for row in right.p_m[:3]) + (pad + pad,) * 3
+    p = tuple(row + pad for row in q) + tuple(pad + row for row in q)
     assert conjugation_failures(SimpleNamespace(m=5, d_m=right.d_m, p_m=p)) == []
     with pytest.raises(RuntimeError, match="conjugator for m=5 is singular"):
-        LatticeCertificate(5, right.d_m, p)
+        LatticeCertificate(5, right.c_m, q)
+
+
+def test_a_certificate_checks_only_its_block(monkeypatch):
+    sizes = []
+    original_det, original_times = lattice._det, lattice._times_integer_matrix
+    monkeypatch.setattr(lattice, "_det",
+                        lambda mat, m: sizes.append(len(mat)) or original_det(mat, m))
+    monkeypatch.setattr(lattice, "_times_integer_matrix",
+                        lambda p, d: sizes.append(len(p)) or original_times(p, d))
+    build_certificate(7)
+    assert sizes == [3, 3]
 
 
 def test_certificate_determinants_match_the_cofactor_oracle(cofactor_det):
     for m in (3, 4, 9, 1325, 10**5):
-        p_m = build_certificate(m).p_m
-        det = lattice._det(p_m, m)
+        cert = build_certificate(m)
+        det = lattice._det(cert.q_m, m)
         assert det != (0, 0)
-        assert det == cofactor_det(p_m, m)
+        assert det == cofactor_det(cert.q_m, m)
+        # det P_m = (det Q_m)^2, so the block's determinant decides P_m's
+        assert lattice._det(cert.p_m, m) == cofactor_det(cert.p_m, m) == lattice._mul(det, det, m)
 
 
 RING = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
@@ -193,3 +208,11 @@ def test_model_char_poly_is_computed_once(monkeypatch):
     assert cert.model_char_poly == tuple(int(c) for c in expected)
     assert cert.model_char_poly is cert.model_char_poly
     assert calls == [7]
+
+
+def test_inverse_char_poly_is_that_of_the_inverse_model():
+    for m in list(range(3, 11)) + [10**5]:
+        cert = build_certificate(m)
+        model = [[1] + [0] * 6] + [[0] + list(row) for row in cert.d_m]
+        assert cert.inverse_char_poly == char_poly_exact(inverse(model))
+        assert cert.inverse_char_poly is cert.inverse_char_poly
