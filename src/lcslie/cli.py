@@ -10,8 +10,10 @@ Subcommands:
 
 The positional target of `check` and `cohomology` is either a corpus
 file or an inline structure tuple such as "(0,-12,13,0)".  Every
-subcommand accepts --json for machine-readable output; reports are
-deterministic for identical inputs and flags.  `regress` falls back to
+subcommand accepts --json for machine-readable output: sorted-key JSON
+with a 2-space indent, byte-stable for identical inputs and flags, and
+written by one writer, `_json`, whose text equals
+json.dumps(obj, sort_keys=True, indent=2).  `regress` falls back to
 $LCSLIE_CORPUS and then to the packaged corpus when no file is given.
 
 `regress` runs its records in file order; a record whose checks raise
@@ -24,12 +26,12 @@ or unparseable input, 141 when the reader closed stdout early.
 
 import argparse
 import functools
-import json
 import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 
 from . import construct, corpus, lattice, novikov
 from .algebra import MAX_DIM
@@ -45,6 +47,59 @@ class UsageError(Exception):
 
 class VerificationFailure(Exception):
     pass
+
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x):
+    text = float.__repr__(x)
+    return _JSON_NONFINITE.get(text, text)
+
+
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _json_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json(obj, newline="\n"):
+    """The text of json.dumps(obj, sort_keys=True, indent=2); dict keys must be str.
+
+    `newline` is the line break and indent of obj's own level.  Scalars
+    inside a container are formatted in place, without a recursive call.
+    A module-level function rather than a self-calling closure: a closure
+    that names itself is a reference cycle, which keeps every call's parts
+    alive until the cyclic collector runs.
+    """
+    scalar = _JSON_SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    inner = newline + "  "
+    if type(obj) is dict:
+        if not obj:
+            return "{}"
+        parts = []
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            value = obj[key]
+            scalar = _JSON_SCALARS.get(type(value))
+            parts.append(encode_basestring_ascii(key) + ": "
+                         + (scalar(value) if scalar is not None else _json(value, inner)))
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if type(obj) is list or type(obj) is tuple:
+        if not obj:
+            return "[]"
+        parts = []
+        for value in obj:
+            scalar = _JSON_SCALARS.get(type(value))
+            parts.append(scalar(value) if scalar is not None else _json(value, inner))
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _format_vector(coeffs):
@@ -142,7 +197,7 @@ def cmd_check(args):
     if args.json:
         for report in reports:
             report.pop("_basis_text", None)
-        print(json.dumps({"records": reports}, sort_keys=True, indent=2))
+        print(_json({"records": reports}))
     else:
         for report in reports:
             if "skipped" in report:
@@ -175,7 +230,7 @@ def cmd_cohomology(args):
     if args.json:
         for report in reports:
             report.pop("_theta_text", None)
-        print(json.dumps({"records": reports}, sort_keys=True, indent=2))
+        print(_json({"records": reports}))
     else:
         for report in reports:
             if "failure" in report:
@@ -305,7 +360,7 @@ def cmd_extend(args):
         }
         if check_report is not None:
             payload["unimodular_check"] = check_report
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_json(payload))
     else:
         print(corpus.format_entry(record))
         if check_report is not None:
@@ -373,7 +428,7 @@ def cmd_lattice(args):
             payload["distinguish"] = [
                 {"m": a, "n": b, "distinct": distinct} for a, b, distinct in pairs
             ]
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_json(payload))
     else:
         for cert in certs:
             print(lattice.certificate_report(cert))
@@ -418,7 +473,7 @@ def cmd_regress(args):
             ],
             "summary": {"checked": len(results), "failed": failed},
         }
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_json(payload))
     else:
         for name, failures, notes in results:
             if failures:

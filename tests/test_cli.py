@@ -1,14 +1,17 @@
 """End-to-end command-line behavior, run in process."""
 
 import functools
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import lcslie
 from lcslie import cli, lattice, lcs
@@ -444,14 +447,84 @@ def test_cohomology_json_matches_the_recorded_snapshot(capsys):
     assert out == snapshot.read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("fmt", ["json", "txt"])
-def test_lattice_output_matches_the_recorded_snapshot(capsys, fmt):
-    """Byte for byte, the certificates and pairwise verdicts of m = 3..10, JSON and text."""
-    snapshot = Path(__file__).parent / "data" / f"lattice_3_10.{fmt}"
-    flags = ["--json"] if fmt == "json" else []
-    code, out, _ = run(capsys, "lattice", "--range", "3:10", "--distinguish", *flags)
+def test_extend_json_matches_the_recorded_snapshot(capsys, tmp_path):
+    """Byte for byte, rr3-1 extended by the scalar representation -1/2 on R^2."""
+    snapshot = Path(__file__).parent / "data" / "extend_rr3-1.json"
+    rep = tmp_path / "rep.txt"
+    rep.write_text("vdim=2\nmat1=-1/2,0;0,-1/2\nmat2=0\nmat3=0\nmat4=0\n")
+    code, out, _ = run(capsys, "extend", str(default_corpus_path()), "--name", "rr3-1",
+                       "--rep-file", str(rep), "--check-unimodular", "--json")
     assert code == 0
     assert out == snapshot.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv, snapshot", [
+    pytest.param(["--range", "3:10", "--distinguish", "--json"], "lattice_3_10.json", id="json"),
+    pytest.param(["--range", "3:10", "--distinguish"], "lattice_3_10.txt", id="txt"),
+    pytest.param(["--m", str(10**400), "--json"], None, id="m_10e400_json"),
+    pytest.param(["--range", "8000:8029", "--distinguish", "--json"], None, id="8000_8029_json"),
+])
+def test_lattice_output_matches_the_recorded_snapshot(capsys, argv, snapshot):
+    """Byte for byte, the certificates and pairwise verdicts of m = 3..10, JSON and text.
+
+    The large inputs (400-digit ints, large-m t_m floats) have no recorded
+    file; their text must be what the stdlib encoder makes of their payload.
+    """
+    code, out, _ = run(capsys, "lattice", *argv)
+    assert code == 0
+    if snapshot is None:
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    else:
+        assert out == (Path(__file__).parent / "data" / snapshot).read_text(encoding="utf-8")
+
+
+# every code point, lone surrogates included, on any hypothesis 6.x
+json_chars = st.characters() | st.integers(0xD800, 0xDFFF).map(chr)
+json_scalars = (
+    st.none() | st.booleans()
+    | st.integers() | st.integers(min_value=2**64, max_value=10**60) | st.integers(max_value=-2**64)
+    | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, math.nan, math.inf, -math.inf])
+    | st.text(json_chars) | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\ud800", "é€𝄞"])
+)
+json_payloads = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(json_chars, max_size=6), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_payloads)
+@example({"edge": [math.nan, math.inf, -math.inf, -0.0, 5e-324, -2**64 - 1, 10**60, True, False,
+                   None, "\ud800\"\\\x00\x7fé", (), [], {}], "": ((1,), {"k": ()})})
+def test_the_json_writer_matches_the_stdlib_encoder(payload):
+    assert cli._json(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("payload", [
+    {"x": Fraction(1, 2)}, {1: 2}, {"a": 1, 2: 3}, [{1, 2}],
+], ids=["fraction-value", "int-key", "mixed-keys", "set"])
+def test_the_json_writer_refuses_what_it_cannot_write(payload):
+    """As json.dumps does, except for the int key, which json.dumps would write as text."""
+    with pytest.raises(TypeError):
+        cli._json(payload)
+
+
+def test_the_json_writer_leaves_no_garbage(capsys):
+    """No reference cycle per call: a self-calling closure would leave its parts to the collector."""
+    code, out, _ = run(capsys, "lattice", "--range", "500:529", "--distinguish", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    gc.collect()
+    gc.disable()
+    try:
+        text = cli._json(payload)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert text + "\n" == out
 
 
 def test_regress_flags_a_corrupted_expectation(capsys, tmp_path):
