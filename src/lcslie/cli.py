@@ -16,9 +16,14 @@ written by one writer, `_json`, whose text equals
 json.dumps(obj, sort_keys=True, indent=2).  `regress` falls back to
 $LCSLIE_CORPUS and then to the packaged corpus when no file is given.
 
-`regress` runs its records in file order; a record whose checks raise
-is reported as a failed record naming the step, and the run goes on;
-`cohomology` likewise names a record it cannot compute and goes on.
+Every report goes through one emitter, `_emit`: the JSON payload under
+--json, else the text lines, which are built only then.  `check`,
+`cohomology` and `regress` run their records in file order under one
+failure policy, `_attempt`: a record whose computation raises ValueError
+or RuntimeError is reported by name with that reason, the run goes on,
+and the exit status is 1.  In text a failed record reads
+"<name>: failed (<reason>)" under `check` and `cohomology`, and
+"<name>: FAIL" with one "  - <step>: <reason>" line under `regress`.
 
 Exit status: 0 on success, 1 when a verification fails, 2 on bad usage
 or unparseable input, 141 when the reader closed stdout early.
@@ -42,10 +47,6 @@ from .notation import NotationError, StructureEquationSource, format_structure_e
 
 
 class UsageError(Exception):
-    pass
-
-
-class VerificationFailure(Exception):
     pass
 
 
@@ -102,26 +103,36 @@ def _json(obj, newline="\n"):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+def _emit(args, payload, render):
+    """Print payload as JSON under --json, else the lines that render() yields.
+
+    render is called only without --json, so that no text is built for a
+    JSON report.
+    """
+    if args.json:
+        print(_json(payload))
+    else:
+        for line in render():
+            print(line)
+
+
+def _attempt(compute, *args):
+    """(compute(*args), None), or (None, reason) when it raised ValueError or RuntimeError.
+
+    The one failure policy of the per-record commands: a record that fails
+    is reported by name with the reason, and the run goes on.
+    """
+    try:
+        return compute(*args), None
+    except (ValueError, RuntimeError) as exc:
+        return None, str(exc)
+
+
 def _format_vector(coeffs):
-    parts = []
-    for i, c in enumerate(coeffs, start=1):
-        if not c:
-            continue
-        if c == 1:
-            parts.append(f"e{i}")
-        elif c == -1:
-            parts.append(f"-e{i}")
-        else:
-            parts.append(f"{c} e{i}")
-    if not parts:
-        return "0"
-    out = parts[0]
-    for term in parts[1:]:
-        if term.startswith("-"):
-            out += " - " + term[1:]
-        else:
-            out += " + " + term
-    return out
+    """The text "e1 - 1/2 e3" of the str(Fraction) coefficients ["1", "0", "-1/2"]."""
+    terms = [f"e{i}" if c == "1" else f"-e{i}" if c == "-1" else f"{c} e{i}"
+             for i, c in enumerate(coeffs, start=1) if c != "0"]
+    return " + ".join(terms).replace(" + -", " - ") or "0"
 
 
 def _pair_coefficients(form):
@@ -170,76 +181,73 @@ def _load_targets(args, need_forms):
     return resolved
 
 
+def _check_record(entry, g):
+    """Check report of a record with omega and theta; LCSStructure refusing them is a verdict."""
+    try:
+        structure = LCSStructure(g, entry.omega_form(), entry.theta_form())
+    except ValueError as exc:
+        failure = str(exc).removeprefix("not an LCS structure: ")
+        return {"name": entry.name, "lcs": False, "failure": failure}
+    verdict = structure.verdict
+    return {
+        "name": entry.name,
+        "lcs": True,
+        "kind": str(verdict.kind),
+        "exact": structure.primitive is not None,
+        "unimodular": is_unimodular(g),
+        "automorphism_basis": [[str(c) for c in vec] for vec in verdict.automorphism_basis],
+    }
+
+
 def cmd_check(args):
     reports = []
-    failed = False
     for entry, g in _load_targets(args, need_forms=True):
         if entry.omega is None or entry.theta is None:
             reports.append({"name": entry.name, "skipped": "no omega/theta recorded"})
             continue
-        try:
-            structure = LCSStructure(g, entry.omega_form(), entry.theta_form())
-        except ValueError as exc:
-            failure = str(exc).removeprefix("not an LCS structure: ")
-            reports.append({"name": entry.name, "lcs": False, "failure": failure})
-            failed = True
-            continue
-        verdict = structure.verdict
-        reports.append({
-            "name": entry.name,
-            "lcs": True,
-            "kind": str(verdict.kind),
-            "exact": structure.primitive is not None,
-            "unimodular": is_unimodular(g),
-            "automorphism_basis": [[str(c) for c in vec] for vec in verdict.automorphism_basis],
-            "_basis_text": [_format_vector(vec) for vec in verdict.automorphism_basis],
-        })
-    if args.json:
+        report, reason = _attempt(_check_record, entry, g)
+        reports.append(report if reason is None else {"name": entry.name, "failure": reason})
+
+    def render():
         for report in reports:
-            report.pop("_basis_text", None)
-        print(_json({"records": reports}))
-    else:
-        for report in reports:
+            name = report["name"]
             if "skipped" in report:
-                print(f"{report['name']}: skipped ({report['skipped']})")
+                yield f"{name}: skipped ({report['skipped']})"
+            elif "lcs" not in report:
+                yield f"{name}: failed ({report['failure']})"
             elif not report["lcs"]:
-                print(f"{report['name']}: LCS: no ({report['failure']})")
+                yield f"{name}: LCS: no ({report['failure']})"
             else:
-                print(
-                    f"{report['name']}: LCS: yes, kind: {report['kind']}, "
-                    f"exact: {'yes' if report['exact'] else 'no'}, "
-                    f"unimodular: {'yes' if report['unimodular'] else 'no'}"
-                )
-                basis = report["_basis_text"]
-                print("  g_omega basis: " + ("(trivial)" if not basis else ", ".join(basis)))
-    return 1 if failed else 0
+                yield (f"{name}: LCS: yes, kind: {report['kind']}, "
+                       f"exact: {'yes' if report['exact'] else 'no'}, "
+                       f"unimodular: {'yes' if report['unimodular'] else 'no'}")
+                basis = ", ".join(_format_vector(vec) for vec in report["automorphism_basis"])
+                yield "  g_omega basis: " + (basis or "(trivial)")
+
+    _emit(args, {"records": reports}, render)
+    return 1 if any("failure" in report for report in reports) else 0
 
 
 def cmd_cohomology(args):
     reports = []
     for entry, g in _load_targets(args, need_forms=False):
         theta = entry.theta if entry.theta is not None else (Fraction(0),) * g.dim
-        try:
-            rep = novikov.cohomology(g, one_form(g.dim, theta))
-        except (ValueError, RuntimeError) as exc:  # fails this record, naming it; the run goes on
-            reports.append({"name": entry.name, "failure": str(exc)})
-            continue
-        reports.append({"name": entry.name, "theta": [str(c) for c in theta],
-                        "betti": list(rep.betti), "twisted_betti": list(rep.twisted_betti),
-                        "_theta_text": _format_vector(theta)})
-    if args.json:
-        for report in reports:
-            report.pop("_theta_text", None)
-        print(_json({"records": reports}))
-    else:
+        rep, reason = _attempt(novikov.cohomology, g, one_form(g.dim, theta))
+        reports.append({"name": entry.name, "failure": reason} if reason is not None else
+                       {"name": entry.name, "theta": [str(c) for c in theta],
+                        "betti": list(rep.betti), "twisted_betti": list(rep.twisted_betti)})
+
+    def render():
         for report in reports:
             if "failure" in report:
-                print(f"{report['name']}: failed ({report['failure']})")
+                yield f"{report['name']}: failed ({report['failure']})"
                 continue
-            print(f"{report['name']}:")
-            print("  betti: " + ",".join(str(b) for b in report["betti"]))
-            print(f"  twisted (theta = {report['_theta_text']}): "
-                  + ",".join(str(b) for b in report["twisted_betti"]))
+            yield f"{report['name']}:"
+            yield "  betti: " + ",".join(str(b) for b in report["betti"])
+            yield (f"  twisted (theta = {_format_vector(report['theta'])}): "
+                   + ",".join(str(b) for b in report["twisted_betti"]))
+
+    _emit(args, {"records": reports}, render)
     return 1 if any("failure" in report for report in reports) else 0
 
 
@@ -319,7 +327,7 @@ def cmd_extend(args):
     try:
         extended = construct.extend(LCSStructure(h, entry.omega_form(), theta), rep)
     except construct.PreconditionError as exc:
-        raise VerificationFailure(f"representation is not compatible: {exc.reason}") from exc
+        raise ValueError(f"representation is not compatible: {exc.reason}") from exc
     g = extended.algebra
     unimodular = is_unimodular(g)
 
@@ -340,7 +348,7 @@ def cmd_extend(args):
         actual_n = Fraction(space.dim, 2)
         predicted = expected_n == actual_n
         if predicted != unimodular:
-            raise VerificationFailure(
+            raise RuntimeError(
                 f"trace condition predicts unimodular={predicted} "
                 f"but the extension has unimodular={unimodular}"
             )
@@ -350,25 +358,23 @@ def cmd_extend(args):
             "unimodular": unimodular,
         }
 
-    if args.json:
-        payload = {
-            "record": corpus.format_entry(record),
-            "name": record.name,
-            "dim": g.dim,
-            "unimodular": unimodular,
-            "kind": record.kind,
-        }
+    payload = {
+        "record": corpus.format_entry(record),
+        "name": record.name,
+        "dim": g.dim,
+        "unimodular": unimodular,
+        "kind": record.kind,
+    }
+    if check_report is not None:
+        payload["unimodular_check"] = check_report
+
+    def render():
+        yield payload["record"]
         if check_report is not None:
-            payload["unimodular_check"] = check_report
-        print(_json(payload))
-    else:
-        print(corpus.format_entry(record))
-        if check_report is not None:
-            required = check_report["required_n"]
-            print(
-                f"# unimodular check: ok (n = {check_report['n']}, "
-                f"trace condition needs n = {required})"
-            )
+            yield (f"# unimodular check: ok (n = {check_report['n']}, "
+                   f"trace condition needs n = {check_report['required_n']})")
+
+    _emit(args, payload, render)
     return 0
 
 
@@ -403,88 +409,67 @@ def cmd_lattice(args):
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    failed = False
-    pairs = []
+    payload = {
+        "certificates": [
+            {"m": c.m, "t_m": c.t_m, "char_poly": list(lattice.family_char_poly(c.m))}
+            for c in certs
+        ]
+    }
     if args.distinguish:
-        for i, a in enumerate(certs):
-            for b in certs[i:]:
-                distinct = lattice.distinguish_solvmanifolds(a, b)
-                pairs.append((a.m, b.m, distinct))
-                if distinct != (a.m != b.m):
-                    failed = True
+        payload["distinguish"] = [
+            {"m": a.m, "n": b.m, "distinct": lattice.distinguish_solvmanifolds(a, b)}
+            for i, a in enumerate(certs) for b in certs[i:]
+        ]
+    pairs = payload.get("distinguish", ())
 
-    if args.json:
-        payload = {
-            "certificates": [
-                {
-                    "m": c.m,
-                    "t_m": c.t_m,
-                    "char_poly": list(lattice.family_char_poly(c.m)),
-                }
-                for c in certs
-            ]
-        }
-        if args.distinguish:
-            payload["distinguish"] = [
-                {"m": a, "n": b, "distinct": distinct} for a, b, distinct in pairs
-            ]
-        print(_json(payload))
-    else:
+    def render():
         for cert in certs:
-            print(lattice.certificate_report(cert))
-        for a, b, distinct in pairs:
-            verdict = "distinct spectra" if distinct else "indistinguishable"
-            marker = "" if distinct == (a != b) else "  <-- UNEXPECTED"
-            print(f"distinguish m={a} n={b}: {verdict}{marker}")
-    return 1 if failed else 0
+            yield lattice.certificate_report(cert)
+        for pair in pairs:
+            verdict = "distinct spectra" if pair["distinct"] else "indistinguishable"
+            marker = "" if pair["distinct"] == (pair["m"] != pair["n"]) else "  <-- UNEXPECTED"
+            yield f"distinguish m={pair['m']} n={pair['n']}: {verdict}{marker}"
 
-
-def _regress_entry(entry):
-    """(name, failures, notes): recompute the record, then compare each verdict it carries."""
-    try:
-        computed = corpus.recompute(entry)
-    except corpus.RecomputeError as exc:  # fails this record, naming the step; the run goes on
-        return entry.name, [str(exc)], []
-    failures = [
-        f"{field}: expected {getattr(entry, field)}, computed {getattr(computed, field)}"
-        for field in corpus.VERDICT_FIELDS
-        if getattr(entry, field) not in (None, getattr(computed, field))
-    ]
-    notes = []
-    if entry.ideal == computed.ideal == "none":
-        notes.append("no decomposable coordinate ideal (as recorded)")
-    return entry.name, failures, notes
+    _emit(args, payload, render)
+    return 1 if any(pair["distinct"] != (pair["m"] != pair["n"]) for pair in pairs) else 0
 
 
 def cmd_regress(args):
     path = args.target if args.target is not None else corpus.default_corpus_path()
-    entries = corpus.load_corpus(path)
-    if not entries and not args.json:  # --json reports the empty run as data
-        print(f"warning: corpus {path} is empty")
-        return 0
-    results = [_regress_entry(entry) for entry in entries]
+    records = []
+    for entry in corpus.load_corpus(path):
+        computed, reason = _attempt(corpus.recompute, entry)
+        notes = []
+        if reason is not None:
+            failures = [reason]
+        else:
+            failures = [
+                f"{field}: expected {getattr(entry, field)}, computed {getattr(computed, field)}"
+                for field in corpus.VERDICT_FIELDS
+                if getattr(entry, field) not in (None, getattr(computed, field))
+            ]
+            if entry.ideal == computed.ideal == "none":
+                notes.append("no decomposable coordinate ideal (as recorded)")
+        records.append({"name": entry.name, "ok": not failures,
+                        "failures": failures, "notes": notes})
+    failed = sum(not record["ok"] for record in records)
 
-    failed = sum(1 for _, failures, _ in results if failures)
-    if args.json:
-        payload = {
-            "records": [
-                {"name": name, "ok": not failures, "failures": failures, "notes": notes}
-                for name, failures, notes in results
-            ],
-            "summary": {"checked": len(results), "failed": failed},
-        }
-        print(_json(payload))
-    else:
-        for name, failures, notes in results:
-            if failures:
-                print(f"{name}: FAIL")
-                for failure in failures:
-                    print(f"  - {failure}")
-            elif notes:
-                print(f"{name}: ok ({'; '.join(notes)})")
+    def render():
+        if not records:  # --json reports the empty run as data
+            yield f"warning: corpus {path} is empty"
+            return
+        for record in records:
+            if record["failures"]:
+                yield f"{record['name']}: FAIL"
+                yield from (f"  - {failure}" for failure in record["failures"])
+            elif record["notes"]:
+                yield f"{record['name']}: ok ({'; '.join(record['notes'])})"
             else:
-                print(f"{name}: ok")
-        print(f"{len(results)} records checked, {failed} failures")
+                yield f"{record['name']}: ok"
+        yield f"{len(records)} records checked, {failed} failures"
+
+    summary = {"checked": len(records), "failed": failed}
+    _emit(args, {"records": records, "summary": summary}, render)
     return 1 if failed else 0
 
 
@@ -562,7 +547,7 @@ def main(argv=None):
     except (UsageError, CorpusError, NotationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (VerificationFailure, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lcslie
-from lcslie import cli, lattice, lcs
+from lcslie import cli, construct, lattice, lcs
 from lcslie.cli import main
 from lcslie.corpus import default_corpus_path
 
@@ -171,23 +171,108 @@ def test_cohomology_defaults_to_untwisted(capsys):
     assert record["betti"] == record["twisted_betti"] == [1, 4, 6, 4, 1]
 
 
+# a and c compute; e^2 is not closed on (0,-12,13,0), so b and d have no twisted
+# complex and d (which carries omega) is no LCS pair; in dimension 2 omega does
+# not determine the Lee form, so regress cannot recover the Lee form of "two"
+MIXED_CORPUS = ("name=a dim=4 eq='(0,0,0,0)'\n"
+                "name=b dim=4 eq='(0,-12,13,0)' theta=0,1,0,0\n"
+                "name=c dim=4 eq='(0,0,-12,0)' theta=0,0,0,-1\n"
+                "name=d dim=4 eq='(0,-12,13,0)' omega=1,0,0,0,0,1 theta=0,1,0,0\n"
+                "name=two dim=2 eq='(0,-12)' omega=1 theta=1,0\n")
+NOT_CLOSED = "theta is not closed; the twisted differential would not square to zero"
+NOT_UNIQUE = "recover_lee_form: theta is not unique; omega does not determine a Lee form"
+
+
+def as_json(payload):
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def test_cohomology_reports_a_failing_record_by_name_and_goes_on(capsys, tmp_path):
-    # e^2 is not closed on (0,-12,13,0), so the middle record has no twisted complex
+    """And so do check and regress, each in its own failure shape, in text and in JSON."""
     path = tmp_path / "mixed.txt"
-    path.write_text("name=a dim=4 eq='(0,0,0,0)'\n"
-                    "name=b dim=4 eq='(0,-12,13,0)' theta=0,1,0,0\n"
-                    "name=c dim=4 eq='(0,0,-12,0)' theta=0,0,0,-1\n")
-    reason = "theta is not closed; the twisted differential would not square to zero"
+    path.write_text(MIXED_CORPUS)
     code, out, err = run(capsys, "cohomology", str(path))
     assert code == 1 and err == ""
     assert out == ("a:\n  betti: 1,4,6,4,1\n  twisted (theta = 0): 1,4,6,4,1\n"
-                   f"b: failed ({reason})\n"
-                   "c:\n  betti: 1,3,4,3,1\n  twisted (theta = -e4): 0,0,0,0,0\n")
-    code, out, _ = run(capsys, "cohomology", str(path), "--json")
-    assert code == 1
-    a, b, c = json.loads(out)["records"]
-    assert b == {"name": "b", "failure": reason}
-    assert (a["name"], c["name"], c["twisted_betti"]) == ("a", "c", [0, 0, 0, 0, 0])
+                   f"b: failed ({NOT_CLOSED})\n"
+                   "c:\n  betti: 1,3,4,3,1\n  twisted (theta = -e4): 0,0,0,0,0\n"
+                   f"d: failed ({NOT_CLOSED})\n"
+                   "two:\n  betti: 1,1,0\n  twisted (theta = e1): 0,0,0\n")
+    code, out, err = run(capsys, "cohomology", str(path), "--json")
+    assert code == 1 and err == ""
+    assert out == as_json({"records": [
+        {"name": "a", "theta": ["0"] * 4, "betti": [1, 4, 6, 4, 1],
+         "twisted_betti": [1, 4, 6, 4, 1]},
+        {"name": "b", "failure": NOT_CLOSED},
+        {"name": "c", "theta": ["0", "0", "0", "-1"], "betti": [1, 3, 4, 3, 1],
+         "twisted_betti": [0] * 5},
+        {"name": "d", "failure": NOT_CLOSED},
+        {"name": "two", "theta": ["1", "0"], "betti": [1, 1, 0], "twisted_betti": [0, 0, 0]},
+    ]})
+
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 1 and err == ""
+    assert out == ("a: skipped (no omega/theta recorded)\n"
+                   "b: skipped (no omega/theta recorded)\n"
+                   "c: skipped (no omega/theta recorded)\n"
+                   "d: LCS: no (theta is not closed)\n"
+                   "two: LCS: yes, kind: second, exact: yes, unimodular: no\n"
+                   "  g_omega basis: e2\n")
+    code, out, err = run(capsys, "check", str(path), "--json")
+    assert code == 1 and err == ""
+    skipped = [{"name": name, "skipped": "no omega/theta recorded"} for name in "abc"]
+    assert out == as_json({"records": skipped + [
+        {"name": "d", "lcs": False, "failure": "theta is not closed"},
+        {"name": "two", "lcs": True, "kind": "second", "exact": True, "unimodular": False,
+         "automorphism_basis": [["0", "1"]]},
+    ]})
+
+    code, out, err = run(capsys, "regress", str(path))
+    assert code == 1 and err == ""
+    assert out == ("a: ok\nb: ok\nc: ok\n"
+                   "d: FAIL\n  - check_lcs: not an LCS structure: theta is not closed\n"
+                   f"two: FAIL\n  - {NOT_UNIQUE}\n"
+                   "5 records checked, 2 failures\n")
+    code, out, err = run(capsys, "regress", str(path), "--json")
+    assert code == 1 and err == ""
+    ok = [{"name": name, "ok": True, "failures": [], "notes": []} for name in "abc"]
+    assert out == as_json({"records": ok + [
+        {"name": "d", "ok": False, "notes": [],
+         "failures": ["check_lcs: not an LCS structure: theta is not closed"]},
+        {"name": "two", "ok": False, "notes": [], "failures": [NOT_UNIQUE]},
+    ], "summary": {"checked": 5, "failed": 2}})
+
+
+def test_check_reports_a_record_whose_verdict_raises_by_name_and_goes_on(
+        capsys, tmp_path, monkeypatch):
+    # Only a broken invariant can make the verdict of a verified pair raise, so
+    # the test breaks one: g_omega "not bracket-closed" on the dim-2 record.
+    # The record is failed by name, as cohomology fails one, and the run goes on.
+    reason = "automorphism space is not bracket-closed"
+    original = lcs.automorphism_algebra
+
+    def broken(g, omega):
+        if g.dim == 2:
+            raise RuntimeError(reason)
+        return original(g, omega)
+
+    monkeypatch.setattr(lcs, "automorphism_algebra", broken)
+    path = tmp_path / "mixed.txt"
+    path.write_text(MIXED_CORPUS)
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 1 and err == ""
+    assert out == ("a: skipped (no omega/theta recorded)\n"
+                   "b: skipped (no omega/theta recorded)\n"
+                   "c: skipped (no omega/theta recorded)\n"
+                   "d: LCS: no (theta is not closed)\n"
+                   f"two: failed ({reason})\n")
+    code, out, err = run(capsys, "check", str(path), "--json")
+    assert code == 1 and err == ""
+    skipped = [{"name": name, "skipped": "no omega/theta recorded"} for name in "abc"]
+    assert out == as_json({"records": skipped + [
+        {"name": "d", "lcs": False, "failure": "theta is not closed"},
+        {"name": "two", "failure": reason},
+    ]})
 
 
 @pytest.fixture
@@ -235,6 +320,18 @@ def test_extend_non_unimodular_case(capsys, tmp_path, small_corpus):
     assert code == 0
     assert "unimodular=no" in out
     assert "trace condition needs n = 3" in out
+
+
+def test_extend_reports_a_contradicted_trace_condition(capsys, tmp_path, monkeypatch):
+    # rr3-1 by -Id/2 on R^2 has n = 1 and is not unimodular; a trace condition
+    # that predicted n = 1 would contradict the built algebra
+    rep = tmp_path / "rep.txt"
+    rep.write_text("vdim=2\nmat1=-1/2,0;0,-1/2\nmat2=0\nmat3=0\nmat4=0\n")
+    monkeypatch.setattr(construct, "unimodular_extension_dim", lambda h, theta: Fraction(1))
+    code, out, err = run(capsys, "extend", default_corpus_path(), "--name", "rr3-1",
+                         "--rep-file", str(rep), "--check-unimodular")
+    assert code == 1 and out == ""
+    assert err.startswith("verification failed: trace condition predicts unimodular=True ")
 
 
 def test_extend_rejects_incompatible_representation(capsys, tmp_path, small_corpus):
@@ -445,6 +542,22 @@ def test_cohomology_json_matches_the_recorded_snapshot(capsys):
     code, out, _ = run(capsys, "cohomology", str(default_corpus_path()), "--json")
     assert code == 0
     assert out == snapshot.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv, snapshot", [
+    pytest.param(["regress"], "regress_packaged.txt", id="regress"),
+    pytest.param(["check", "{corpus}"], "check_packaged.txt", id="check"),
+    pytest.param(["cohomology", "{corpus}"], "cohomology_packaged.txt", id="cohomology"),
+    pytest.param(["extend", "{corpus}", "--name", "rr3-1", "--rep-file", "{rep}",
+                  "--check-unimodular"], "extend_rr3-1.txt", id="extend"),
+])
+def test_text_output_matches_the_recorded_snapshot(capsys, tmp_path, argv, snapshot):
+    """Byte for byte, the text reports of the packaged corpus, and rr3-1 extended by -Id/2."""
+    rep = tmp_path / "rep.txt"
+    rep.write_text("vdim=2\nmat1=-1/2,0;0,-1/2\nmat2=0\nmat3=0\nmat4=0\n")
+    code, out, err = run(capsys, *(a.format(corpus=default_corpus_path(), rep=rep) for a in argv))
+    assert code == 0 and err == ""
+    assert out == (Path(__file__).parent / "data" / snapshot).read_text(encoding="utf-8")
 
 
 def test_extend_json_matches_the_recorded_snapshot(capsys, tmp_path):
@@ -717,6 +830,20 @@ def test_lattice_pairs_build_no_model_polynomials(capsys, monkeypatch):
         assert sorted(inverses) == list(range(4, 3 + size))
         monkeypatch.undo()
     assert per_certificate[0] == per_certificate[1]
+
+
+@pytest.mark.parametrize("module, text, argv", [
+    (lattice, "certificate_report", ["lattice", "--range", "3:7", "--distinguish"]),
+    (cli, "_format_vector", ["check", "{corpus}"]),
+    (cli, "_format_vector", ["cohomology", "{corpus}"]),
+], ids=["lattice", "check", "cohomology"])
+def test_a_json_report_builds_no_text(capsys, monkeypatch, module, text, argv):
+    # text costs a large share of a 2-ms lattice operation
+    calls = counting(monkeypatch, module, text)
+    code, _, _ = run(capsys, *(a.format(corpus=default_corpus_path()) for a in argv), "--json")
+    assert code == 0 and calls == []
+    code, _, _ = run(capsys, *(a.format(corpus=default_corpus_path()) for a in argv))
+    assert code == 0 and calls
 
 
 def test_the_parser_is_built_once():
