@@ -12,82 +12,45 @@ All computations are exact: over the rationals, and for the lattice
 certificates over the rings Z[lambda] with lambda^2 = m lambda - 1.
 """
 
-from .algebra import LieAlgebra, abelian, change_basis
-from .exterior import (
-    KForm,
-    basis_form,
-    ce_differential,
-    check_jacobi,
-    is_unimodular,
-)
-from .notation import (
-    StructureEquationSource,
-    format_structure_equations,
-    parse_structure_equations,
-)
-from .lcs import (
-    Kind,
-    KindVerdict,
-    LCSStructure,
-    automorphism_algebra,
-    check_lcs,
-    classify_kind,
-    recover_lee_form,
-)
-from .novikov import CohomologyReport, cohomology, is_exact_class
-from .corpus import CorpusEntry, load_corpus, save_corpus
-from .construct import (
-    Representation,
-    SymplecticSpace,
-    decompose,
-    extend,
-    find_nondegenerate_abelian_ideal,
-    is_lcs_representation,
-    unimodular_extension_dim,
-)
-from .lattice import (
-    LatticeCertificate,
-    build_certificate,
-    companion_matrix,
-    distinguish_solvmanifolds,
-    family_char_poly,
-)
+import importlib
 
-__all__ = [
-    "LieAlgebra",
-    "abelian",
-    "change_basis",
-    "KForm",
-    "basis_form",
-    "ce_differential",
-    "check_jacobi",
-    "is_unimodular",
-    "StructureEquationSource",
-    "format_structure_equations",
-    "parse_structure_equations",
-    "Kind",
-    "KindVerdict",
-    "LCSStructure",
-    "automorphism_algebra",
-    "check_lcs",
-    "classify_kind",
-    "recover_lee_form",
-    "CohomologyReport",
-    "cohomology",
-    "is_exact_class",
-    "CorpusEntry",
-    "load_corpus",
-    "save_corpus",
-    "Representation",
-    "SymplecticSpace",
-    "decompose",
-    "extend",
-    "find_nondegenerate_abelian_ideal",
-    "is_lcs_representation",
-    "unimodular_extension_dim",
-    "LatticeCertificate",
-    "build_certificate",
-    "companion_matrix",
-    "distinguish_solvmanifolds",
-    "family_char_poly",
-]
+# Each public name and the submodule it lives in.  `import lcslie` loads no
+# submodule: a name is imported from its home on first access (PEP 562) and
+# read off that module on every access, so a patch of the home is seen here.
+_EXPORTS = {
+    "algebra": ("LieAlgebra", "abelian", "change_basis"),
+    "exterior": ("KForm", "basis_form", "ce_differential", "check_jacobi", "is_unimodular"),
+    "notation": ("StructureEquationSource", "format_structure_equations",
+                 "parse_structure_equations"),
+    "lcs": ("Kind", "KindVerdict", "LCSStructure", "automorphism_algebra", "check_lcs",
+            "classify_kind", "recover_lee_form"),
+    "novikov": ("CohomologyReport", "cohomology", "is_exact_class"),
+    "corpus": ("CorpusEntry", "load_corpus", "save_corpus"),
+    "construct": ("Representation", "SymplecticSpace", "decompose", "extend",
+                  "find_nondegenerate_abelian_ideal", "is_lcs_representation",
+                  "unimodular_extension_dim"),
+    "lattice": ("LatticeCertificate", "build_certificate", "companion_matrix",
+                "distinguish_solvmanifolds", "family_char_poly"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+class InputError(ValueError):
+    """Input that cannot be parsed: the base of CorpusError and NotationError.
+
+    It lives here so that the command line can catch both by one class
+    without importing the modules that raise them.
+    """
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{home}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -25,6 +25,14 @@ and the exit status is 1.  In text a failed record reads
 "<name>: failed (<reason>)" under `check` and `cohomology`, and
 "<name>: FAIL" with one "  - <step>: <reason>" line under `regress`.
 
+Each subcommand imports only the modules it runs: at module level this
+file imports nothing of lcslie beyond the package itself, which loads no
+submodule, and each `cmd_*` (or the helper it calls) imports its library
+modules and reads their functions off the module at call time, so a patch
+of a module attribute is seen.  `lattice` loads `lcslie.lattice` alone.
+Unparseable input (CorpusError, NotationError) is caught as their base,
+`lcslie.InputError`.
+
 Exit status: 0 on success, 1 when a verification fails, 2 on bad usage
 or unparseable input, 141 when the reader closed stdout early.
 """
@@ -33,17 +41,9 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import replace
-from fractions import Fraction
-from itertools import combinations
 from json.encoder import encode_basestring_ascii
 
-from . import construct, corpus, lattice, novikov
-from .algebra import MAX_DIM
-from .corpus import CorpusEntry, CorpusError, parse_params, parse_rational_list
-from .exterior import KForm, is_unimodular, one_form
-from .lcs import LCSStructure, gram_matrix
-from .notation import NotationError, StructureEquationSource, format_structure_equations, parse_structure_equations
+from . import InputError
 
 
 class UsageError(Exception):
@@ -135,24 +135,20 @@ def _format_vector(coeffs):
     return " + ".join(terms).replace(" + -", " - ") or "0"
 
 
-def _pair_coefficients(form):
-    pairs = combinations(range(1, form.dim + 1), 2)
-    return tuple(form.coeffs.get(pair, Fraction(0)) for pair in pairs)
-
-
-def _one_form_coefficients(form):
-    return tuple(form.coeffs.get((i,), Fraction(0)) for i in range(1, form.dim + 1))
-
-
 def _load_targets(args, need_forms):
     """Resolve the check/cohomology target to (entry, algebra) pairs, --omega/--theta applied."""
+    from dataclasses import replace
+
+    from . import corpus, notation
+
     target = args.target
     if target.lstrip().startswith("("):
         if args.name is not None:
             raise UsageError("--name applies only to a corpus file")
-        source = StructureEquationSource(target, parse_params(getattr(args, "params", None) or ""))
-        g = parse_structure_equations(source)
-        targets = [(CorpusEntry(name="inline", source=source, dim=g.dim), g)]
+        params = corpus.parse_params(getattr(args, "params", None) or "")
+        source = notation.StructureEquationSource(target, params)
+        g = notation.parse_structure_equations(source)
+        targets = [(corpus.CorpusEntry(name="inline", source=source, dim=g.dim), g)]
     else:
         if getattr(args, "params", None):
             raise UsageError("--params applies only to an inline tuple target")
@@ -167,12 +163,12 @@ def _load_targets(args, need_forms):
         if getattr(args, "omega", None) is not None:
             if len(targets) > 1:
                 raise UsageError("--omega needs a single record (use --name)")
-            omega = parse_rational_list(args.omega, g.dim * (g.dim - 1) // 2, "--omega")
+            omega = corpus.parse_rational_list(args.omega, g.dim * (g.dim - 1) // 2, "--omega")
             entry = replace(entry, omega=omega)
         if getattr(args, "theta", None) is not None:
             if len(targets) > 1:
                 raise UsageError("--theta needs a single record (use --name)")
-            entry = replace(entry, theta=parse_rational_list(args.theta, g.dim, "--theta"))
+            entry = replace(entry, theta=corpus.parse_rational_list(args.theta, g.dim, "--theta"))
         resolved.append((entry, g))
     if need_forms and len(resolved) == 1:
         entry, _g = resolved[0]
@@ -183,8 +179,10 @@ def _load_targets(args, need_forms):
 
 def _check_record(entry, g):
     """Check report of a record with omega and theta; LCSStructure refusing them is a verdict."""
+    from . import exterior, lcs
+
     try:
-        structure = LCSStructure(g, entry.omega_form(), entry.theta_form())
+        structure = lcs.LCSStructure(g, entry.omega_form(), entry.theta_form())
     except ValueError as exc:
         failure = str(exc).removeprefix("not an LCS structure: ")
         return {"name": entry.name, "lcs": False, "failure": failure}
@@ -194,7 +192,7 @@ def _check_record(entry, g):
         "lcs": True,
         "kind": str(verdict.kind),
         "exact": structure.primitive is not None,
-        "unimodular": is_unimodular(g),
+        "unimodular": exterior.is_unimodular(g),
         "automorphism_basis": [[str(c) for c in vec] for vec in verdict.automorphism_basis],
     }
 
@@ -229,10 +227,14 @@ def cmd_check(args):
 
 
 def cmd_cohomology(args):
+    from fractions import Fraction
+
+    from . import exterior, novikov
+
     reports = []
     for entry, g in _load_targets(args, need_forms=False):
         theta = entry.theta if entry.theta is not None else (Fraction(0),) * g.dim
-        rep, reason = _attempt(novikov.cohomology, g, one_form(g.dim, theta))
+        rep, reason = _attempt(novikov.cohomology, g, exterior.one_form(g.dim, theta))
         reports.append({"name": entry.name, "failure": reason} if reason is not None else
                        {"name": entry.name, "theta": [str(c) for c in theta],
                         "betti": list(rep.betti), "twisted_betti": list(rep.twisted_betti)})
@@ -257,6 +259,12 @@ def _parse_rep_file(path, hdim):
     Each matrix is ';'-separated rows of ','-separated rationals; the
     shorthand "0" is the zero matrix.
     """
+    from fractions import Fraction
+    from itertools import combinations
+
+    from . import construct, corpus, exterior, lcs
+    from .algebra import MAX_DIM
+
     fields = {}
     for lineno, line in enumerate(corpus.read_lines(path), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -281,9 +289,9 @@ def _parse_rep_file(path, hdim):
         raise UsageError(f"{path}: vdim must be at most MAX_DIM - {hdim} = {MAX_DIM - hdim}")
 
     if "omega0" in fields:
-        coeffs = parse_rational_list(fields.pop("omega0"), vdim * (vdim - 1) // 2, "omega0")
+        coeffs = corpus.parse_rational_list(fields.pop("omega0"), vdim * (vdim - 1) // 2, "omega0")
         pairs = combinations(range(1, vdim + 1), 2)
-        gram = gram_matrix(KForm(vdim, 2, dict(zip(pairs, coeffs))))
+        gram = lcs.gram_matrix(exterior.KForm(vdim, 2, dict(zip(pairs, coeffs))))
         try:
             space = construct.SymplecticSpace(vdim, gram)
         except ValueError as exc:
@@ -303,13 +311,18 @@ def _parse_rep_file(path, hdim):
         rows = [r.strip() for r in text.split(";")]
         if len(rows) != vdim:
             raise UsageError(f"{path}: {key} needs {vdim} rows, got {len(rows)}")
-        mats.append(tuple(parse_rational_list(row, vdim, f"{key} row") for row in rows))
+        mats.append(tuple(corpus.parse_rational_list(row, vdim, f"{key} row") for row in rows))
     if fields:
         raise UsageError(f"{path}: unknown keys {sorted(fields)}")
     return space, mats
 
 
 def cmd_extend(args):
+    from fractions import Fraction
+    from itertools import combinations
+
+    from . import construct, corpus, exterior, lcs, notation
+
     entries = corpus.load_corpus(args.target)
     matches = [e for e in entries if e.name == args.name]
     if not matches:
@@ -325,18 +338,19 @@ def cmd_extend(args):
     space, mats = _parse_rep_file(args.rep_file, h.dim)
     rep = construct.Representation(h, space, tuple(mats))
     try:
-        extended = construct.extend(LCSStructure(h, entry.omega_form(), theta), rep)
+        extended = construct.extend(lcs.LCSStructure(h, entry.omega_form(), theta), rep)
     except construct.PreconditionError as exc:
         raise ValueError(f"representation is not compatible: {exc.reason}") from exc
     g = extended.algebra
-    unimodular = is_unimodular(g)
+    unimodular = exterior.is_unimodular(g)
 
-    record = CorpusEntry(
+    record = corpus.CorpusEntry(
         name=f"{entry.name}-ext",
-        source=StructureEquationSource(format_structure_equations(g), {}),
+        source=notation.StructureEquationSource(notation.format_structure_equations(g), {}),
         dim=g.dim,
-        omega=_pair_coefficients(extended.omega),
-        theta=_one_form_coefficients(extended.theta),
+        omega=tuple(extended.omega.coeffs.get(pair, Fraction(0))
+                    for pair in combinations(range(1, g.dim + 1), 2)),
+        theta=tuple(exterior.form_to_vector(extended.theta)),
         kind=str(extended.verdict.kind),
         unimodular=unimodular,
         note=f"extension of {entry.name} by a {space.dim}-dimensional representation",
@@ -393,6 +407,8 @@ def _parse_range(text):
 
 
 def cmd_lattice(args):
+    from . import lattice
+
     if args.m is None and args.range is None:
         raise UsageError("pass --m M or --range A:B")
     if args.m is not None and args.range is not None:
@@ -435,6 +451,8 @@ def cmd_lattice(args):
 
 
 def cmd_regress(args):
+    from . import corpus
+
     path = args.target if args.target is not None else corpus.default_corpus_path()
     records = []
     for entry in corpus.load_corpus(path):
@@ -518,7 +536,7 @@ def _build_parser():
 
     p_reg = sub.add_parser("regress", help="recompute all recorded verdicts")
     p_reg.add_argument("target", nargs="?",
-                       help=f"corpus file (default: ${corpus.ENV_CORPUS} or the packaged corpus)")
+                       help="corpus file (default: $LCSLIE_CORPUS or the packaged corpus)")
     p_reg.add_argument("--json", action="store_true")
     p_reg.set_defaults(func=cmd_regress)
 
@@ -544,7 +562,7 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except (UsageError, CorpusError, NotationError, OSError) as exc:
+    except (UsageError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:

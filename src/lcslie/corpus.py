@@ -33,7 +33,7 @@ from fractions import Fraction
 from importlib import resources
 from itertools import combinations
 
-from . import construct, lcs, novikov
+from . import InputError
 from .exterior import KForm, is_unimodular, one_form
 from .notation import StructureEquationSource, parse_structure_equations
 
@@ -57,7 +57,7 @@ _KNOWN_KEYS = (
 VERDICT_FIELDS = ("unimodular", "kind", "extn", "ideal")
 
 
-class CorpusError(ValueError):
+class CorpusError(InputError):
     """Malformed corpus record; the message carries the line number when parsing."""
 
 
@@ -221,6 +221,8 @@ def recompute(entry):
     decompose splits, round trip compared.  Undetermined verdicts are None.
     A failed step or cross-check raises RecomputeError("<step>: <reason>").
     """
+    from . import construct, lcs, novikov  # here, so that reading a corpus loads none of them
+
     verdicts = dict.fromkeys(VERDICT_FIELDS)
     step = "parse"
     try:

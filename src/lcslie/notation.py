@@ -19,11 +19,12 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import InputError
 from .algebra import MAX_DIM, LieAlgebra
 from .exterior import check_jacobi
 
 
-class NotationError(ValueError):
+class NotationError(InputError):
     """Malformed structure-equation text or inconsistent bindings."""
 
 

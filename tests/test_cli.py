@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import importlib
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lcslie
-from lcslie import cli, construct, lattice, lcs
+from lcslie import cli, construct, lattice, lcs, notation
 from lcslie.cli import main
 from lcslie.corpus import default_corpus_path
 
@@ -799,7 +800,8 @@ def test_regress_verifies_each_structure_once(capsys, monkeypatch):
 
 
 def test_inline_target_is_parsed_once(capsys, monkeypatch):
-    parses = counting(monkeypatch, cli, "parse_structure_equations")
+    # the CLI reads the parser off lcslie.notation at call time
+    parses = counting(monkeypatch, notation, "parse_structure_equations")
     code, _, _ = run(capsys, "cohomology", "(0,0,-12,0)", "--theta", "0,0,0,-1", "--json")
     assert code == 0
     assert len(parses) == 1
@@ -850,17 +852,105 @@ def test_the_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
 
 
-def test_cli_imports_neither_numpy_nor_scipy():
+def fresh_python(*argv, check=True):
+    """A fresh interpreter run on argv, importing lcslie from this checkout."""
     src = str(Path(lcslie.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, timeout=60, check=check)
+
+
+def test_cli_imports_neither_numpy_nor_scipy():
     code = "import sys, lcslie.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert fresh_python("-c", code).stdout.strip() == "[]"
+
+
+LOADED_MODULES = "print(*sorted(m for m in sys.modules if m.startswith('lcslie.')))"
+
+
+def test_importing_the_package_or_the_cli_loads_no_library_module():
+    assert fresh_python("-c", "import sys, lcslie; " + LOADED_MODULES).stdout.split() == []
+    loaded = fresh_python("-c", "import sys, lcslie.cli; " + LOADED_MODULES).stdout.split()
+    assert loaded == ["lcslie.cli"]
+
+
+# the modules that reading a corpus file or an inline tuple loads
+READING = ("algebra", "corpus", "exterior", "linalg", "notation")
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["lattice", "--range", "3:7", "--distinguish", "--json"], ["lattice"]),
+    (["cohomology", "(0,0,-12,0)", "--theta", "0,0,0,-1"], [*READING, "novikov"]),
+    (["cohomology", "{corpus}", "--json"], [*READING, "novikov"]),
+    (["check", "(0,-12,13,0)", "--omega", "1,0,0,0,0,1", "--theta", "1,0,0,0"],
+     [*READING, "lcs"]),
+    (["check", "{corpus}", "--json"], [*READING, "lcs"]),
+    (["extend", "{corpus}", "--name", "rr3-1", "--rep-file", "{rep}", "--check-unimodular"],
+     [*READING, "construct", "lcs"]),
+    (["regress", "{corpus}", "--json"], [*READING, "construct", "lcs", "novikov"]),
+], ids=["lattice", "cohomology-inline", "cohomology-corpus", "check-inline", "check-corpus",
+        "extend", "regress"])
+def test_each_subcommand_imports_only_what_it_runs(tmp_path, argv, loads):
+    rep = tmp_path / "rep.txt"
+    rep.write_text("vdim=2\nmat1=-1/2,0;0,-1/2\nmat2=0\nmat3=0\nmat4=0\n")
+    code = ("import contextlib, io, sys\n"
+            "from lcslie.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    print(main(sys.argv[1:]), file=sys.stderr)\n"
+            + LOADED_MODULES)
+    proc = fresh_python("-c", code, *(a.format(corpus=default_corpus_path(), rep=rep)
+                                      for a in argv))
+    assert proc.stderr == "0\n"
+    assert set(proc.stdout.split()) == {"lcslie.cli", *(f"lcslie.{m}" for m in loads)}
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["cohomology", "(0,,0)"], "error: entry 2 is empty; write 0 for a closed e^2\n"),
+    (["regress", "{bad}"], "error: line 1: dim is not an integer\n"),
+    (["check", "{bad}"], "error: line 1: dim is not an integer\n"),
+    (["lattice", "--range", "1:4"], "error: need m > 2, got 1\n"),
+], ids=["notation-error", "corpus-error-regress", "corpus-error-check", "lattice-range"])
+def test_unparseable_input_exits_2_with_one_error_line(tmp_path, argv, err):
+    # in a fresh process, where the modules that raise are imported by the command
+    bad = tmp_path / "bad.txt"
+    bad.write_text("name=a dim=two eq='(0,0)'\n")
+    proc = fresh_python("-m", "lcslie.cli", *(a.format(bad=bad) for a in argv), check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
+
+
+# the public names of lcslie, grouped by their home module, in __all__ order
+PUBLIC_API = (
+    ("algebra", ("LieAlgebra", "abelian", "change_basis")),
+    ("exterior", ("KForm", "basis_form", "ce_differential", "check_jacobi", "is_unimodular")),
+    ("notation", ("StructureEquationSource", "format_structure_equations",
+                  "parse_structure_equations")),
+    ("lcs", ("Kind", "KindVerdict", "LCSStructure", "automorphism_algebra", "check_lcs",
+             "classify_kind", "recover_lee_form")),
+    ("novikov", ("CohomologyReport", "cohomology", "is_exact_class")),
+    ("corpus", ("CorpusEntry", "load_corpus", "save_corpus")),
+    ("construct", ("Representation", "SymplecticSpace", "decompose", "extend",
+                   "find_nondegenerate_abelian_ideal", "is_lcs_representation",
+                   "unimodular_extension_dim")),
+    ("lattice", ("LatticeCertificate", "build_certificate", "companion_matrix",
+                 "distinguish_solvmanifolds", "family_char_poly")),
+)
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in lcslie.__all__ if not hasattr(lcslie, name)]
     assert missing == []
     assert len(set(lcslie.__all__)) == len(lcslie.__all__)
+    # the package resolves each name lazily, to the object its home module holds
+    assert lcslie.__all__ == [name for _, names in PUBLIC_API for name in names]
+    for home, names in PUBLIC_API:
+        module = importlib.import_module(f"lcslie.{home}")
+        for name in names:
+            assert getattr(lcslie, name) is getattr(module, name), name
+    assert set(lcslie.__all__) <= set(dir(lcslie))
+    namespace = {}
+    exec("from lcslie import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(lcslie.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lcslie.no_such_name
+    assert not hasattr(lcslie, "no_such_name")
