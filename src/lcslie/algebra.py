@@ -37,7 +37,7 @@ def _sparse_brackets(brackets, dim):
             if len(vec) != dim:
                 raise ValueError(f"bracket [e{i},e{j}] has length {len(vec)}, expected {dim}")
             terms = enumerate(vec, start=1)
-        v = {k: Fraction(x) for k, x in terms if x}
+        v = {k: x if type(x) is Fraction else Fraction(x) for k, x in terms if x}
         if v:
             out[(i, j)] = v
     return out
@@ -94,30 +94,9 @@ class LieAlgebra:
         return out
 
     def bracket(self, x, y):
-        """[x, y] for coordinate vectors x and y.
-
-        Walks the pairs of nonzero coordinates of x and y and the stored
-        terms of their brackets.
-        """
-        table = self.brackets
-        ys = [(j, b) for j, b in enumerate(y, start=1) if b]
-        acc = {}
-        for i, a in enumerate(x, start=1):
-            if not a:
-                continue
-            for j, b in ys:
-                if i < j:
-                    terms, sign = table.get((i, j)), 1
-                elif i > j:
-                    terms, sign = table.get((j, i)), -1
-                else:
-                    continue
-                if terms:
-                    s = a * b if sign > 0 else -(a * b)
-                    for k, c in terms.items():
-                        acc[k] = acc.get(k, 0) + s * c
+        """[x, y] for coordinate vectors x and y, by _bracket on the table."""
         out = [Fraction(0)] * self.dim
-        for k, v in acc.items():
+        for k, v in _bracket(self.brackets, x, y).items():
             out[k - 1] = v
         return out
 
@@ -129,14 +108,42 @@ class LieAlgebra:
         """
         out = [Fraction(0)] * self.dim
         for (i, j), terms in self.brackets.items():
-            out[i - 1] += terms.get(j, 0)
-            out[j - 1] -= terms.get(i, 0)
+            if j in terms:
+                out[i - 1] += terms[j]
+            if i in terms:
+                out[j - 1] -= terms[i]
         return out
 
     def basis_vector(self, i):
         v = [Fraction(0)] * self.dim
         v[i - 1] = Fraction(1)
         return v
+
+
+def _bracket(table, x, y):
+    """{k: coordinate k of [x, y]}, zeros included, for a table of brackets
+    {(i, j): {k: c}}, i < j, and coordinate vectors x and y.
+
+    Walks the pairs of nonzero coordinates of x and y and the stored
+    terms of their brackets; ints in (table and vectors) give ints out.
+    """
+    ys = [(j, b) for j, b in enumerate(y, start=1) if b]
+    acc = {}
+    for i, a in enumerate(x, start=1):
+        if not a:
+            continue
+        for j, b in ys:
+            if i < j:
+                terms, sign = table.get((i, j)), 1
+            elif i > j:
+                terms, sign = table.get((j, i)), -1
+            else:
+                continue
+            if terms:
+                s = a * b if sign > 0 else -(a * b)
+                for k, c in terms.items():
+                    acc[k] = acc.get(k, 0) + s * c
+    return acc
 
 
 def abelian(dim):
@@ -146,19 +153,29 @@ def abelian(dim):
 def change_basis(g, columns):
     """The same algebra expressed in the basis given by the matrix columns.
 
-    The new coordinates of [b_i, b_j] are P^-1 [b_i, b_j], with P^-1 from
-    linalg.inverse, one sparse product for all pairs.
+    The new coordinates of [b_i, b_j] are P^-1 [b_i, b_j], summed in
+    integers and made a Fraction once per nonzero coordinate: with b_i = B_i /
+    D_i (B_i integral), the structure constants times L (d_masks' scale) and
+    row k of P^-1 = R_k / p_k (linalg.inverse_rows), coordinate k is
+    R_k [B_i, B_j] / (p_k L D_i D_j), all rows R_k in one sparse product.
     """
     n = g.dim
-    inverse = linalg.inverse(columns)
+    inverse = linalg.inverse_rows(columns)
     if inverse is None:
         raise ValueError("matrix is singular")
-    new_basis = linalg.transpose(columns)
+    scale = g.d_masks[0]
+    table = {pair: {k: c.numerator * (scale // c.denominator) for k, c in terms.items()}
+             for pair, terms in g.brackets.items()}
+    new_basis = [linalg.clear_denominators(b) for b in linalg.transpose(columns)]
     pairs = list(combinations(range(n), 2))
-    images = [{k: x for k, x in enumerate(g.bracket(new_basis[i], new_basis[j])) if x}
+    images = [{k - 1: x for k, x in _bracket(table, new_basis[i][1], new_basis[j][1]).items() if x}
               for i, j in pairs]
-    inverse_columns = [{k: x for k, x in enumerate(col) if x} for col in zip(*inverse)]
+    inverse_columns = linalg.sparse_transpose([row for _, row in inverse], n)
     coordinates = linalg.sparse_mul(images, inverse_columns)
-    return LieAlgebra(n, {(i + 1, j + 1): {k + 1: x for k, x in c.items()}
-                          for (i, j), c in zip(pairs, coordinates)})
-
+    brackets = {}
+    for (i, j), c in zip(pairs, coordinates):
+        if c:
+            den = scale * new_basis[i][0] * new_basis[j][0]
+            brackets[(i + 1, j + 1)] = {k + 1: Fraction(x, inverse[k][0] * den)
+                                        for k, x in c.items()}
+    return LieAlgebra(n, brackets)

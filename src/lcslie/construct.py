@@ -28,11 +28,12 @@ that the action is an LCS representation.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from . import linalg
 from .algebra import LieAlgebra, change_basis
-from .exterior import KForm, check_jacobi, form_to_vector, interior, one_form
-from .lcs import CheckResult, Kind, LCSStructure, lee_value
+from .exterior import KForm, check_jacobi, form_to_vector, one_form
+from .lcs import CheckResult, Kind, LCSStructure, integral_gram
 
 
 class PreconditionError(ValueError):
@@ -212,6 +213,15 @@ def unimodular_extension_dim(h, theta):
     return n_value
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass cls made from fields that are
+    known to pass its checks, without running them."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def _block_failure(brackets, block):
     """None if the basis indices in block span an abelian ideal, else (reason, failing key (i, j)).
 
@@ -238,8 +248,9 @@ def decompose(structure, u_basis):
     only a non-exact structure of the second kind splits.  h is the kernel
     of the covectors i_u omega.  g, omega and theta are written once in the
     adapted basis x_1, ..., x_n (h basis, then u): omega as
-    (i_{x_i} omega)(x_j) for every pair, theta as theta(x_j), and the ideal
-    tests read the u block of the bracket table.  The brackets of h are the
+    (i_{x_i} omega)(x_j) for every pair, theta as theta(x_j), both paired in
+    integers with one Fraction per entry, and the ideal tests read the u
+    block of the bracket table.  The brackets of h are the
     h block with the terms on u dropped, all zero: for x, y in h and v in
     u, d(omega) = theta ^ omega at (x, y, v) gives omega([x, y], v) = 0, as
     u is an ideal in ker(theta).  omega_0 is the u block of omega and pi(x)
@@ -247,7 +258,9 @@ def decompose(structure, u_basis):
     must equal the adapted data, the given, verified structure in another
     basis.  That comparison is the only check of pi and of the
     omega-orthogonality of h and u: the product is then LCS and satisfies
-    Jacobi, so pi is an LCS representation.
+    Jacobi, so pi is an LCS representation.  omega_0 was found
+    nondegenerate above, so (V, omega_0) and pi are made without the checks
+    of SymplecticSpace and Representation.
     """
     g, n, vd = structure.algebra, structure.algebra.dim, len(u_basis)
     u_basis = [[Fraction(x) for x in u] for u in u_basis]
@@ -257,14 +270,25 @@ def decompose(structure, u_basis):
         raise PreconditionError("ideal vectors must have length dim", n)
     if len(linalg.rref(u_basis)) != vd:
         raise PreconditionError("ideal basis is linearly dependent")
-    u_covectors = [interior(u, structure.omega) for u in u_basis]
-    gram_u = [[lee_value(c, v) for v in u_basis] for c in u_covectors]
+    # x = X / D_x with X integral; with the integral_gram D_w G,
+    # omega(x, y) = (X^T D_w G) Y / (D_w D_x D_y)
+    den_w, gram = integral_gram(structure.omega)
+
+    def scaled(x):
+        den, ints = linalg.clear_denominators(x)
+        return den, ints, [sum(a * gram[m][k] for m, a in enumerate(ints) if a) for k in range(n)]
+
+    def pairing(x, y):
+        return Fraction(sum(map(mul, x[2], y[1])), den_w * x[0] * y[0])
+
+    u_scaled = [scaled(u) for u in u_basis]
+    gram_u = [[pairing(x, y) for y in u_scaled] for x in u_scaled]
     kernel = linalg.nullspace(gram_u)
     if kernel:
         raise PreconditionError("omega degenerates on the ideal", kernel[0])
 
     # omega is nondegenerate and u independent, so the kernel has dimension n - |u|
-    perp = linalg.nullspace([form_to_vector(c) for c in u_covectors])
+    perp = linalg.nullspace([covector for _, _, covector in u_scaled])
     hd, vectors = len(perp), perp + u_basis
     adapted = change_basis(g, linalg.transpose(vectors))
     failure = _block_failure(adapted.brackets, set(range(hd + 1, n + 1)))
@@ -272,7 +296,9 @@ def decompose(structure, u_basis):
         reason, (i, j) = failure  # j > hd: the pair (x, u), or positions in u if abelian fails
         raise PreconditionError(reason, (vectors[i - 1], vectors[j - 1]) if reason == "not an ideal"
                                 else (i - hd, j - hd))
-    theta_values = [lee_value(structure.theta, x) for x in vectors]
+    columns = [scaled(x) for x in perp] + u_scaled
+    den_t, theta = linalg.clear_denominators(form_to_vector(structure.theta))
+    theta_values = [Fraction(sum(map(mul, theta, x[1])), den_t * x[0]) for x in columns]
     for u, t in zip(u_basis, theta_values[hd:]):
         if t:
             raise PreconditionError("ideal is not contained in ker(theta)", u)
@@ -281,8 +307,7 @@ def decompose(structure, u_basis):
     if structure.primitive is not None:
         raise RuntimeError("decomposable structure is exact")
 
-    covectors = [interior(x, structure.omega) for x in perp] + u_covectors
-    omega = KForm(n, 2, {(i + 1, j + 1): lee_value(covectors[i], vectors[j])
+    omega = KForm(n, 2, {(i + 1, j + 1): pairing(columns[i], columns[j])
                          for i, j in combinations(range(n), 2)})
     theta = one_form(n, theta_values)
     h = LieAlgebra(hd, {(i, j): {k: c for k, c in terms.items() if k <= hd}
@@ -290,10 +315,11 @@ def decompose(structure, u_basis):
     omega_h = KForm(hd, 2, {key: c for key, c in omega.coeffs.items() if key[1] <= hd})
     base = LCSStructure(h, omega_h, one_form(hd, theta_values[:hd]))
 
-    space = SymplecticSpace(vd, gram_u)
+    # gram_u is skew and nondegenerate, and the entries are Fractions already
+    space = _unchecked(SymplecticSpace, dim=vd, gram=gram_u)
     mats = [linalg.transpose([adapted.basis_bracket(i, hd + a)[hd:] for a in range(1, vd + 1)])
             for i in range(1, hd + 1)]
-    rep = Representation(h, space, mats)
+    rep = _unchecked(Representation, acting=h, space=space, mats=mats)
     if _product(base, rep) != (adapted, omega, theta):
         raise RuntimeError("round trip does not reproduce g, omega and theta in the adapted basis")
     return base, rep

@@ -236,8 +236,8 @@ def recompute(entry):
             step = "classify"
             kind = structure.verdict.kind
             verdicts["kind"] = str(kind)
-            step = "recover_lee_form"
-            if lcs.recover_lee_form(g, omega) != theta:
+            step = "recover_lee_form"  # theta is verified: compare it with the one candidate
+            if lcs.lee_form_candidate(g, omega) != theta:
                 raise RuntimeError("does not reproduce the recorded theta")
             step = "exactness"
             exact = structure.primitive is not None

@@ -22,6 +22,9 @@ from math import lcm
 from operator import add, sub
 
 from .algebra import MAX_DIM
+from .linalg import clear_denominators
+
+_ZERO = Fraction(0)
 
 
 class KForm:
@@ -30,7 +33,10 @@ class KForm:
     coeffs maps strictly increasing index tuples (1-based) to nonzero
     Fractions; missing keys are zero.  Degree-0 forms are scalars keyed
     by ().  Degrees above the ambient dimension admit no valid keys, so
-    only the zero form exists there.
+    only the zero form exists there.  The constructor checks every key and
+    value it is given; the forms that this module builds itself
+    (interior, ce_differential, +, -, scalar *) come from well-formed keys
+    and nonzero Fractions and skip that check through _form.
     """
 
     __slots__ = ("dim", "degree", "coeffs")
@@ -62,7 +68,7 @@ class KForm:
         return not self.coeffs
 
     def coefficient(self, key):
-        return self.coeffs.get(tuple(key), Fraction(0))
+        return self.coeffs.get(tuple(key), _ZERO)
 
     def _check_compatible(self, other):
         if self.dim != other.dim:
@@ -82,18 +88,23 @@ class KForm:
         self._check_compatible(other)
         coeffs = dict(self.coeffs)
         for key, value in other.coeffs.items():
-            coeffs[key] = coeffs.get(key, Fraction(0)) + value
-        return KForm(self.dim, self.degree, coeffs)
+            value += coeffs.get(key, 0)
+            if value:
+                coeffs[key] = value
+            else:
+                del coeffs[key]
+        return _form(self.dim, self.degree, coeffs)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return KForm(self.dim, self.degree, {k: -v for k, v in self.coeffs.items()})
+        return _form(self.dim, self.degree, {k: -v for k, v in self.coeffs.items()})
 
     def __rmul__(self, scalar):
         scalar = Fraction(scalar)
-        return KForm(self.dim, self.degree, {k: scalar * v for k, v in self.coeffs.items()})
+        coeffs = {k: scalar * v for k, v in self.coeffs.items()} if scalar else {}
+        return _form(self.dim, self.degree, coeffs)
 
     __mul__ = __rmul__
 
@@ -102,6 +113,14 @@ class KForm:
             return f"KForm({self.dim}, {self.degree}, 0)"
         parts = [f"{v}*e^{''.join(map(str, k))}" for k, v in sorted(self.coeffs.items())]
         return f"KForm({self.dim}, {self.degree}, {' + '.join(parts)})"
+
+
+def _form(dim, degree, coeffs):
+    """The KForm with these coefficients, unchecked: its keys are well formed
+    and its values nonzero Fractions by construction."""
+    form = object.__new__(KForm)
+    form.dim, form.degree, form.coeffs = dim, degree, coeffs
+    return form
 
 
 def basis_form(dim, indices, coeff=1):
@@ -113,22 +132,30 @@ def one_form(dim, coefficients):
     """1-form from its n coefficients on e^1..e^n."""
     if len(coefficients) != dim:
         raise ValueError("coefficient count does not match dimension")
-    return KForm(dim, 1, {(i + 1,): Fraction(c) for i, c in enumerate(coefficients)})
+    return KForm(dim, 1, {(i,): c for i, c in enumerate(coefficients, 1) if c})
 
 
 def interior(v, a):
     """The interior product i_v a = a(v, ...), a form of one degree less.
 
-    i_v e^K = sum_a (-1)^a v_{k_a} e^{K minus k_a} for K = (k_0 < ... < k_p).
+    i_v e^K = sum_a (-1)^a v_{k_a} e^{K minus k_a} for K = (k_0 < ... < k_p),
+    summed in integers: v and the coefficients of a each over their least
+    common denominator, the product of the two dividing every sum once.
     """
-    coeffs = {}
+    if not a.degree:
+        raise ValueError("degree must be nonnegative")
+    den_v, v = clear_denominators(v)
+    den_a = lcm(*(c.denominator for c in a.coeffs.values()))
+    sums = {}
     for key, c in a.coeffs.items():
+        c = c.numerator * (den_a // c.denominator)
         for pos, k in enumerate(key):
             x = v[k - 1]
             if x:
                 rest = key[:pos] + key[pos + 1 :]
-                coeffs[rest] = coeffs.get(rest, 0) + (-x if pos & 1 else x) * c
-    return KForm(a.dim, a.degree - 1, coeffs)
+                sums[rest] = sums.get(rest, 0) + (-x if pos & 1 else x) * c
+    den = den_v * den_a
+    return _form(a.dim, a.degree - 1, {key: Fraction(x, den) for key, x in sums.items() if x})
 
 
 def form_masks(dim, degree):
@@ -141,8 +168,13 @@ def form_masks(dim, degree):
 
 
 def mask_key(mask):
-    """The strictly increasing index tuple of a bitmask."""
-    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+    """The strictly increasing index tuple of a bitmask, lowest set bit first."""
+    key = []
+    while mask:
+        low = mask & -mask
+        key.append(low.bit_length())
+        mask ^= low
+    return tuple(key)
 
 
 def form_basis(dim, degree):
@@ -158,7 +190,7 @@ def form_basis(dim, degree):
 def form_to_vector(a, basis=None):
     """Coefficient vector of a over form_basis(a.dim, a.degree)."""
     basis = basis if basis is not None else form_basis(a.dim, a.degree)
-    return [a.coeffs.get(key, Fraction(0)) for key in basis]
+    return [a.coeffs.get(key, _ZERO) for key in basis]
 
 
 def vector_to_form(dim, degree, vec, basis=None):
@@ -217,17 +249,22 @@ def ce_differential(g, a, theta=None):
     """Chevalley-Eilenberg differential d(a), or d_theta(a) = d(a) - theta ^ a.
 
     Expands only the keys of a, with the terms differential_matrix puts
-    in their columns, and divides out their scale L.  d_theta squares to
-    zero only for closed theta; checking that is the caller's part.
+    in their columns, sums them in integers, with a's coefficients over
+    their least common denominator D, and divides each sum by D L, L the
+    scale of the terms.  d_theta squares to zero only for closed theta;
+    checking that is the caller's part.
     """
     if a.dim != g.dim:
         raise ValueError("form does not live on this algebra")
     scale, expand = _expansion(g, theta)
-    coeffs = {}
-    for key, value in a.coeffs.items():
+    den = lcm(*(c.denominator for c in a.coeffs.values()))
+    sums = {}
+    for key, c in a.coeffs.items():
+        c = c.numerator * (den // c.denominator)
         for target, x in expand(sum(1 << i - 1 for i in key)):
-            coeffs[target] = coeffs.get(target, 0) + value * x
-    return KForm(g.dim, a.degree + 1, {mask_key(t): v / scale for t, v in coeffs.items()})
+            sums[target] = sums.get(target, 0) + c * x
+    den *= scale
+    return _form(g.dim, a.degree + 1, {mask_key(t): Fraction(x, den) for t, x in sums.items() if x})
 
 
 def differential_matrix(g, degree, theta=None, keys=None):

@@ -32,7 +32,6 @@ inverses, both computed once per certificate.  No floating point enters
 a verdict; t_m is reported as a float only.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import log, log1p, sqrt
 
@@ -166,7 +165,6 @@ def companion_matrix(coeffs):
     return mat
 
 
-@dataclass(frozen=True)
 class LatticeCertificate:
     """Witness that phi(t_m) = P_m D_m P_m^-1 with D_m integer, held as its block.
 
@@ -175,21 +173,39 @@ class LatticeCertificate:
     P_m = diag(Q_m, Q_m) are read off them.  Construction verifies
     phi_1(t_m) Q_m = Q_m C_m and det Q_m != 0 exactly in Z[lambda], which
     proves the same of P_m and D_m (see the module docstring), and raises
-    RuntimeError when either fails.
+    RuntimeError when either fails.  The fields cannot be assigned or
+    deleted, and certificates compare and hash by (m, c_m, q_m).  The
+    class is written out rather than made a dataclass, because importing
+    dataclasses (and with it inspect) costs most of this module's import.
     """
 
-    m: int
-    c_m: tuple
-    q_m: tuple
-
-    def __post_init__(self):
-        m = self.m
-        lhs = [[_mul(_lambda_power(g, m), x, m) for x in row]
-               for g, row in zip(PHI_GENERATOR, self.q_m)]
-        if lhs != _times_integer_matrix(self.q_m, self.c_m):
+    def __init__(self, m, c_m, q_m):
+        self.__dict__.update(m=m, c_m=c_m, q_m=q_m)
+        lhs = [[_mul(_lambda_power(g, m), x, m) for x in row] for g, row in zip(PHI_GENERATOR, q_m)]
+        if lhs != _times_integer_matrix(q_m, c_m):
             raise RuntimeError(f"phi(t_m) P_m != P_m D_m for m={m}")
-        if _det(self.q_m, m) == _ZERO:
+        if _det(q_m, m) == _ZERO:
             raise RuntimeError(f"conjugator for m={m} is singular")
+
+    def _key(self):
+        return self.m, self.c_m, self.q_m
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"LatticeCertificate(m={self.m!r}, c_m={self.c_m!r}, q_m={self.q_m!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def t_m(self):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .exterior import (
@@ -22,9 +23,8 @@ from .exterior import (
     ce_differential,
     differential_matrix,
     differential_scale,
-    form_basis,
     form_to_vector,
-    interior,
+    one_form,
     vector_to_form,
 )
 
@@ -134,6 +134,19 @@ def gram_matrix(omega):
     return gram
 
 
+def integral_gram(omega):
+    """(D, D G): the Gram matrix G of omega times D, the least common
+    denominator of omega's coefficients, as rows of ints.  It has the
+    kernel of G, and G^-1 / D is its inverse."""
+    n = omega.dim
+    den = lcm(*(c.denominator for c in omega.coeffs.values()))
+    gram = [[0] * n for _ in range(n)]
+    for (i, j), c in omega.coeffs.items():
+        x = c.numerator * (den // c.denominator)
+        gram[i - 1][j - 1], gram[j - 1][i - 1] = x, -x
+    return den, gram
+
+
 def _validate_shapes(g, omega, theta):
     if g.dim % 2 != 0:
         raise ValueError("LCS structures need even dimension")
@@ -151,7 +164,7 @@ def check_lcs(g, omega, theta):
     dtheta = ce_differential(g, theta)
     if not dtheta.is_zero():
         return CheckResult(False, "theta is not closed", dtheta)
-    kernel = linalg.nullspace(gram_matrix(omega))
+    kernel = linalg.nullspace(integral_gram(omega)[1])
     if kernel:
         return CheckResult(False, "omega is degenerate", kernel[0])
     residual = ce_differential(g, omega, theta)
@@ -160,13 +173,38 @@ def check_lcs(g, omega, theta):
     return CheckResult(True)
 
 
+def automorphism_system(g, omega):
+    """(D, rows): D times the C(n,2) x n system whose nullspace is g_omega.
+
+    Column i of row (j, k), j < k in form_basis(n, 2) order, is
+    D (L_{e_i} omega)(e_j, e_k) = -D omega([e_i,e_j], e_k) - D omega(e_j, [e_i,e_k]),
+    read straight off the bracket table and the Gram matrix, so every
+    entry is an int.  As omega is skew, the entry is r_ik[j] - r_ij[k] with
+    r_ij[k] = D omega([e_i,e_j], e_k).  Each stored bracket [e_a, e_b] gives
+    r_ab in integers (the table times d_masks' scale, paired with the
+    integral_gram), and r_ba = -r_ab; D is the product of the two scales.
+    """
+    n = g.dim
+    den_g = g.d_masks[0]
+    den_w, gram = integral_gram(omega)
+    rows = [[0] * n for _ in range(n * (n - 1) // 2)]  # (j, k), j < k, is row k (k - 1) / 2 + j
+    for (a, b), terms in g.brackets.items():
+        ints = [(m - 1, c.numerator * (den_g // c.denominator)) for m, c in terms.items()]
+        r = [sum(x * gram[m][k] for m, x in ints) for k in range(n)]
+        for i, j, y in ((a - 1, b - 1, r), (b - 1, a - 1, [-x for x in r])):
+            for k, x in enumerate(y):
+                if x and k != j:
+                    if j < k:
+                        rows[k * (k - 1) // 2 + j][i] -= x
+                    else:
+                        rows[j * (j - 1) // 2 + k][i] += x
+    return den_g * den_w, rows
+
+
 def automorphism_algebra(g, omega):
     """Exact basis of g_omega = {X : L_X omega = 0}.
 
-    (L_X omega)(Y, Z) = -omega([X,Y],Z) - omega(Y,[X,Z]), and by Cartan's
-    formula L_X omega = i_X d(omega) + d(i_X omega), with d(omega) taken
-    once; the coefficients of L_{e_i} omega form column i of a C(n,2) x n
-    system.  The result is its nullspace, checked to be closed under the
+    The nullspace of automorphism_system, checked to be closed under the
     bracket, as it must be for a subalgebra.
     """
     if omega.dim != g.dim or omega.degree != 2:
@@ -174,35 +212,57 @@ def automorphism_algebra(g, omega):
     n = g.dim
     if n < 2:
         return [g.basis_vector(i) for i in range(1, n + 1)]
-    domega = ce_differential(g, omega)
-    basis = [g.basis_vector(i) for i in range(1, n + 1)]
-    lie = [interior(e, domega) + ce_differential(g, interior(e, omega)) for e in basis]
-    solutions = linalg.nullspace([[x.coefficient(key) for x in lie] for key in form_basis(n, 2)])
+    solutions = linalg.nullspace(automorphism_system(g, omega)[1])
     brackets = [g.bracket(x, y) for a, x in enumerate(solutions) for y in solutions[a + 1 :]]
     if len(linalg.rref(solutions + brackets)) != len(solutions):
         raise RuntimeError("automorphism space is not bracket-closed")
     return solutions
 
 
-def recover_lee_form(g, omega):
-    """theta with d(omega) = theta ^ omega, or None when no closed theta fits.
+def lee_form_candidate(g, omega):
+    """The one 1-form theta that d(omega) = theta ^ omega can hold for, unchecked.
 
     Raises when omega is degenerate (its Gram matrix G has no inverse) and
     in dimension 2m < 4, as the module says.  beta = theta ^ omega has
-    sum_i i_{h_i} i_{e_i} beta = (2 - 2m) theta, h_i the rows of G^-1, so
-    theta is read off d(omega); it is returned if closed and d_theta(omega) = 0.
+    sum_i i_{h_i} i_{e_i} beta = (2 - 2m) theta, h_i the rows of H = G^-1,
+    so theta is read off d(omega).  H is skew, so the sum takes from each
+    term w e^abc of d(omega) 2 w (H_bc e^a - H_ac e^b + H_ab e^c).  It is
+    summed in integers: the inverse H / D of the integral_gram D G has rows
+    R_x / p_x (linalg.inverse_rows), taken over P = lcm(p_x), and d(omega)
+    over the least common denominator E of its coefficients, so one Fraction
+    per coefficient of theta divides the sum by P E (2 - 2m) / (2 D).
     """
     if omega.dim != g.dim or omega.degree != 2:
         raise ValueError("omega must be a 2-form on the algebra")
-    inverse = linalg.inverse(gram_matrix(omega))
-    if inverse is None:
+    den_w, gram = integral_gram(omega)
+    rows = linalg.inverse_rows(gram)
+    if rows is None:
         raise ValueError("omega is degenerate; the Lee form is not determined")
     n = g.dim
     if n < 4:
         raise ValueError("theta is not unique; omega does not determine a Lee form")
-    domega = ce_differential(g, omega)
-    terms = (interior(h, interior(g.basis_vector(i), domega)) for i, h in enumerate(inverse, 1))
-    theta = Fraction(1, 2 - n) * sum(terms, KForm(n, 1))
+    den_h = lcm(*(p for p, _ in rows))
+    inverse = [{y: x * (den_h // p) for y, x in row.items()} for p, row in rows]  # P H / D
+    domega = ce_differential(g, omega).coeffs
+    den_d = lcm(*(w.denominator for w in domega.values()))
+    sums = [0] * n
+    for (a, b, c), w in domega.items():
+        w = w.numerator * (den_d // w.denominator)
+        row_a, row_b = inverse[a - 1], inverse[b - 1]
+        sums[a - 1] += w * row_b.get(c - 1, 0)
+        sums[b - 1] -= w * row_a.get(c - 1, 0)
+        sums[c - 1] += w * row_a.get(b - 1, 0)
+    den = den_h * den_d * (2 - n)
+    return one_form(n, [Fraction(2 * den_w * x, den) for x in sums])
+
+
+def recover_lee_form(g, omega):
+    """theta with d(omega) = theta ^ omega, or None when no closed theta fits.
+
+    lee_form_candidate, returned if it is closed and d_theta(omega) = 0;
+    raises as that does.
+    """
+    theta = lee_form_candidate(g, omega)
     if not ce_differential(g, theta).is_zero() or not ce_differential(g, omega, theta).is_zero():
         return None
     return theta

@@ -1,28 +1,35 @@
 """Exact linear algebra over the rationals.
 
-Two representations are used.  The Chevalley-Eilenberg differentials
-are large and very sparse (often one or two nonzeros per row), so they
-are sparse matrices: lists of rows, each a dict {column: int}
-(exterior.differential_matrix scales d_theta to clear its denominators).
-Their ranks and kernels come from one fraction-free sparse Gauss-Jordan
-elimination (eliminate), which takes the sparsest rows first, keeps every
-row integral and reports the input row behind each pivot, so that
-rank_mod_prime of that pivot minor can certify the rank; sparse_solve
-reads one Fraction solution off eliminate's integer kernel.  The small
-systems (Gram matrices, automorphism algebras, a change of basis, the Lee
-form) are dense lists of rows of fractions.Fraction; rref reduces them in
-order, with leftmost pivots, to their reduced row echelon form, whose
-length is the rank, whose kernel nullspace reads off, and from which
-inverse reads A^-1; char_poly_exact gives the characteristic polynomial
-of a small dense matrix.
+One integer core with Fraction edges.  Every elimination runs on sparse
+rows of ints, dicts {column: int}, and is fraction-free: a row is
+cross-multiplied against a pivot row and divided by its content
+(_cross, _primitive), so no rational is formed inside.  The
+Chevalley-Eilenberg differentials are large and very sparse (often one or
+two nonzeros per row) and already integral (exterior.differential_matrix
+scales d_theta to clear its denominators).  Their ranks and kernels come
+from eliminate, which takes the sparsest rows first and reports the input
+row behind each pivot, so that rank_mod_prime of that pivot minor can
+certify the rank; sparse_solve reads one Fraction solution off
+eliminate's integer kernel.  The small systems (Gram matrices,
+automorphism algebras, a change of basis, the Lee form) are dense lists of
+rows of ints and Fractions.  Each row is scaled by the least common
+multiple of its denominators (clear_denominators) and _reduce brings them,
+in order and with leftmost pivots, to the primitive integer multiples of
+the rows of their reduced row echelon form.  rref, nullspace and inverse
+read that form and make one Fraction per entry they return; inverse_rows
+hands out A^-1 as integer rows over their pivots.  char_poly_exact
+gives the characteristic polynomial of a small dense matrix.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
 
+_ZERO = Fraction(0)
+
+
 def zeros(rows, cols):
-    return [[Fraction(0)] * cols for _ in range(rows)]
+    return [[_ZERO] * cols for _ in range(rows)]
 
 
 def transpose(a):
@@ -166,13 +173,13 @@ def rank(rows):
 
 
 def kernel(pivots, ncols):
-    """Right-kernel basis from reduced pivot rows, eliminate's or rref's.
+    """Right-kernel basis from reduced pivot rows, eliminate's, _reduce's or rref's.
 
     One sparse vector per free column f, in increasing f: s_f at f, and
     -row[f] * s_f / row[col] at each pivot column col whose reduced row
     has an entry at f, where s_f is the least common multiple of those
     rows' pivots.  It is 1 for rref's rows, whose pivots are 1, and the
-    vectors of eliminate's integer rows are integral.
+    vectors of integer rows are integral.
     """
     scale = {f: 1 for f in range(ncols) if f not in pivots}
     for col, row in pivots.items():
@@ -204,41 +211,80 @@ def sparse_solve(rows, ncols, b):
     return None
 
 
-def rref(vectors):
-    """Reduced row echelon form of dense vectors: {pivot column: reduced row}.
+def clear_denominators(v):
+    """(D, [D x for x in v]): D the least common multiple of the denominators
+    of v's entries (ints and Fractions), and the entries as ints."""
+    den = lcm(*[x.denominator for x in v])
+    if den == 1:
+        return 1, [x.numerator for x in v]
+    return den, [x.numerator * (den // x.denominator) for x in v]
 
-    Gauss-Jordan in the given order: each vector is reduced against the
-    rows found so far, and what is left becomes a row, scaled to 1 on its
-    leftmost entry, which is cleared from the earlier rows.  Clearing a
-    later pivot column from a row adds entries only right of that column,
-    so no row holds an entry left of its pivot.  The form depends only on
-    the span of the vectors, and its length is the rank.
+
+def _integer_row(v):
+    """The sparse integer row of a dense vector times clear_denominators' D."""
+    return {j: x for j, x in enumerate(clear_denominators(v)[1]) if x}
+
+
+def _reduce(rows):
+    """Fraction-free Gauss-Jordan of sparse integer rows, in the given order.
+
+    Each row is reduced against the pivot rows found so far by
+    cross-multiplying with their pivots; what is left becomes a pivot row
+    on its leftmost entry, divided by its content with a positive pivot,
+    and that column is cleared from the earlier pivot rows the same way.
+    Clearing a later pivot column from a row adds entries only right of
+    that column, so no row holds an entry left of its pivot.  Returns
+    {pivot column: row}: each row is the primitive integer multiple of the
+    row of the reduced row echelon form with that pivot, which depends
+    only on the span of the rows.  The rows are reduced in place.
     """
-    rows = {}
-    for v in vectors:
-        row = {j: Fraction(x) for j, x in enumerate(v) if x}
-        for hit in [j for j in row if j in rows]:
-            _subtract(row, row[hit], rows[hit])
+    pivots = {}
+    for row in rows:
+        for hit in [j for j in row if j in pivots]:
+            pivot_row = pivots[hit]
+            _cross(row, row[hit], pivot_row[hit], pivot_row)
         if not row:
             continue
         col = min(row)
-        inv_p = 1 / row[col]
-        row = {j: x * inv_p for j, x in row.items()}
-        for other_row in rows.values():
+        _primitive(row, col)
+        p = row[col]
+        for other, other_row in pivots.items():
             c = other_row.get(col)
             if c:
-                _subtract(other_row, c, row)
-        rows[col] = row
-    return rows
+                _cross(other_row, c, p, row)
+                _primitive(other_row, other)
+        pivots[col] = row
+    return pivots
+
+
+def rref(vectors):
+    """Reduced row echelon form of dense vectors: {pivot column: reduced row}.
+
+    The rows of _reduce, in the order their pivots were found, each divided
+    by its pivot; its length is the rank.
+    """
+    return {col: {j: Fraction(x, row[col]) for j, x in row.items()}
+            for col, row in _reduce(map(_integer_row, vectors)).items()}
+
+
+def inverse_rows(a):
+    """A^-1 as integer rows over positive pivots: [(p_i, {j: x})] with row i of
+    A^-1 equal to x / p_i on j, read off the reduced [A | I]; None if a pivot
+    lands right of column n."""
+    n = len(a)
+    reduced = _reduce([_integer_row(list(row) + [int(i == j) for j in range(n)])
+                       for i, row in enumerate(a)])
+    if any(col >= n for col in reduced):
+        return None
+    return [(reduced[i][i], {j - n: x for j, x in reduced[i].items() if j >= n}) for i in range(n)]
 
 
 def inverse(a):
-    """The rows of A^-1, read off the reduced [A | I]; None if a pivot lands right of column n."""
-    n = len(a)
-    reduced = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)])
-    if any(col >= n for col in reduced):
+    """The rows of A^-1 as Fractions, from inverse_rows; None if A is singular."""
+    rows = inverse_rows(a)
+    if rows is None:
         return None
-    return [[reduced[i].get(n + j, Fraction(0)) for j in range(n)] for i in range(n)]
+    return [[Fraction(row[j], p) if j in row else _ZERO for j in range(len(a))] for p, row in rows]
 
 
 def rank_mod_prime(rows):
@@ -273,10 +319,13 @@ def rank_mod_prime(rows):
 def nullspace(a):
     """Basis of the right kernel of a (ncols must be readable from a[0]), as dense vectors.
 
-    kernel of rref's rows, one vector per non-pivot column in increasing
-    order.
+    kernel of _reduce's rows, one vector per non-pivot column f in
+    increasing order, divided by its entry at f, which makes it 1 there.
     """
     if not a:
         raise ValueError("cannot infer column count of an empty matrix")
     ncols = len(a[0])
-    return [[Fraction(v.get(j, 0)) for j in range(ncols)] for v in kernel(rref(a), ncols)]
+    pivots = _reduce(map(_integer_row, a))
+    free = [f for f in range(ncols) if f not in pivots]
+    return [[Fraction(v[j], v[f]) if j in v else _ZERO for j in range(ncols)]
+            for f, v in zip(free, kernel(pivots, ncols))]

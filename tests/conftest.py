@@ -7,7 +7,7 @@ import pytest
 from lcslie import corpus, linalg
 from lcslie.algebra import abelian
 from lcslie.exterior import (
-    KForm, basis_form, ce_differential, form_basis, form_to_vector, vector_to_form,
+    KForm, basis_form, ce_differential, form_basis, form_to_vector, interior, vector_to_form,
 )
 from lcslie.lcs import gram_matrix
 
@@ -118,6 +118,61 @@ def _fraction_eliminate(rows):
 @pytest.fixture(scope="session")
 def fraction_eliminate():
     return _fraction_eliminate
+
+
+def _fraction_rref(vectors):
+    """Gauss-Jordan over Fractions in the given order, with leftmost pivots:
+    {pivot column: row scaled to 1 on its pivot}, the reduced row echelon form."""
+    rows = {}
+    for v in vectors:
+        row = {j: Fraction(x) for j, x in enumerate(v) if x}
+        for hit in [j for j in row if j in rows]:
+            _subtract(row, row[hit], rows[hit])
+        if not row:
+            continue
+        col = min(row)
+        inv_p = 1 / row[col]
+        row = {j: x * inv_p for j, x in row.items()}
+        for other_row in rows.values():
+            c = other_row.get(col)
+            if c:
+                _subtract(other_row, c, row)
+        rows[col] = row
+    return rows
+
+
+def _fraction_nullspace(a):
+    """One kernel vector per non-pivot column f of _fraction_rref, increasing:
+    1 at f and -row[f] at each pivot column."""
+    ncols = len(a[0])
+    rows = _fraction_rref(a)
+    basis = []
+    for f in range(ncols):
+        if f in rows:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for col, row in rows.items():
+            if f in row:
+                v[col] = -row[f]
+        basis.append(v)
+    return basis
+
+
+def _fraction_inverse(a):
+    """The rows of A^-1 read off _fraction_rref of [A | I], or None if singular."""
+    n = len(a)
+    augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    reduced = _fraction_rref(augmented)
+    if any(col >= n for col in reduced):
+        return None
+    return [[reduced[i].get(n + j, Fraction(0)) for j in range(n)] for i in range(n)]
+
+
+@pytest.fixture(scope="session")
+def fraction_gauss_jordan():
+    """(rref, nullspace, inverse) over Fractions, the oracle of linalg's integer rows."""
+    return _fraction_rref, _fraction_nullspace, _fraction_inverse
 
 
 @pytest.fixture(scope="session")
@@ -303,6 +358,22 @@ def _covector_automorphisms(g, omega):
 @pytest.fixture(scope="session")
 def covector_automorphisms():
     return _covector_automorphisms
+
+
+def _cartan_automorphism_system(g, omega):
+    """The C(n,2) x n system of g_omega by Cartan's formula: column i holds the
+    coefficients of L_{e_i} omega = i_{e_i} d(omega) + d(i_{e_i} omega) over
+    form_basis(n, 2), with d(omega) taken once."""
+    n = g.dim
+    domega = ce_differential(g, omega)
+    lie = [interior(e, domega) + ce_differential(g, interior(e, omega))
+           for e in (g.basis_vector(i) for i in range(1, n + 1))]
+    return [[x.coefficient(key) for x in lie] for key in form_basis(n, 2)]
+
+
+@pytest.fixture(scope="session")
+def cartan_automorphism_system():
+    return _cartan_automorphism_system
 
 
 def _twist_lee_form(g, omega):

@@ -905,6 +905,18 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path, argv, loads):
     assert set(proc.stdout.split()) == {"lcslie.cli", *(f"lcslie.{m}" for m in loads)}
 
 
+def test_lattice_loads_neither_dataclasses_nor_inspect():
+    # LatticeCertificate is written out: dataclasses, and inspect with it,
+    # were most of the cost of importing lcslie.lattice
+    code = ("import contextlib, io, sys\n"
+            "from lcslie.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    print(main(['lattice', '--m', '5', '--json']), file=sys.stderr)\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = fresh_python("-c", code)
+    assert (proc.stderr, proc.stdout) == ("0\n", "[]\n")
+
+
 @pytest.mark.parametrize("argv, err", [
     (["cohomology", "(0,,0)"], "error: entry 2 is empty; write 0 for a closed e^2\n"),
     (["regress", "{bad}"], "error: line 1: dim is not an integer\n"),

@@ -133,7 +133,7 @@ def test_recompute_names_the_step_that_fails(monkeypatch, by_name):
     monkeypatch.setattr(novikov, "is_exact_class", lambda g, theta, omega: True)
     with pytest.raises(RecomputeError, match=r"^exactness: primitive search and rank computation disagree$"):
         recompute(by_name["rr3-1"])
-    monkeypatch.setattr(lcs, "recover_lee_form", lambda g, omega: None)
+    monkeypatch.setattr(lcs, "lee_form_candidate", lambda g, omega: None)
     with pytest.raises(RecomputeError, match=r"^recover_lee_form: does not reproduce the recorded theta$"):
         recompute(by_name["rr3-1"])
 

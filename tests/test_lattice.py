@@ -103,6 +103,20 @@ def test_certificate_check_can_fail():
         LatticeCertificate(5, right.c_m, (singular,) * 3)
 
 
+def test_a_certificate_is_an_immutable_value():
+    cert = build_certificate(5)
+    assert cert == LatticeCertificate(5, cert.c_m, cert.q_m) == build_certificate(5)
+    assert cert != build_certificate(6) and cert != (5, cert.c_m, cert.q_m)
+    assert hash(cert) == hash(build_certificate(5))
+    assert repr(cert) == f"LatticeCertificate(m=5, c_m={cert.c_m!r}, q_m={cert.q_m!r})"
+    for name in ("m", "c_m", "q_m", "d_m"):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(cert, name, None)
+    with pytest.raises(AttributeError, match="^cannot delete field 'm'$"):
+        del cert.m
+    assert cert.m == 5 and cert.model_char_poly is cert.model_char_poly
+
+
 def test_a_conjugating_but_singular_p_is_refused(conjugation_failures):
     # Q_5 with its third row zeroed still satisfies phi_1 Q = Q C_5 row by
     # row, and so does diag(Q, Q) for phi and D_5, so only the determinant

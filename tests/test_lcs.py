@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcslie import linalg
+from lcslie.algebra import LieAlgebra
 from lcslie.construct import Representation, extend, standard_symplectic
 from lcslie.exterior import KForm, basis_form, ce_differential, one_form
 from lcslie.lcs import (
     Kind,
     LCSStructure,
     automorphism_algebra,
+    automorphism_system,
     check_lcs,
     gram_matrix,
     recover_lee_form,
@@ -255,3 +257,45 @@ def test_automorphism_algebra_agrees_with_the_covector_system(
 ):
     g, omega = data.draw(omegas(lcs_pool))
     assert automorphism_algebra(g, omega) == covector_automorphisms(g, omega)
+
+
+def assert_system_is_the_cartan_one(g, omega, cartan_automorphism_system):
+    scale, rows = automorphism_system(g, omega)
+    assert scale > 0 and all(type(x) is int for row in rows for x in row)
+    assert rows == [[scale * x for x in row] for row in cartan_automorphism_system(g, omega)]
+
+
+def test_automorphism_system_is_the_cartan_system_on_the_corpus(shipped,
+                                                                 cartan_automorphism_system):
+    # read off the bracket table, it is D times the system of L_X omega =
+    # i_X d(omega) + d(i_X omega), to the entry
+    count = 0
+    for entry in shipped:
+        if entry.omega is not None:
+            g, omega, _theta = entry_forms(entry)
+            assert_system_is_the_cartan_one(g, omega, cartan_automorphism_system)
+            count += 1
+    assert count == 35
+
+
+@st.composite
+def almost_abelian_pairs(draw):
+    """(g, omega): R e_n acting on R^(n-1) by a rational matrix, n in 2..7, and
+    a rational 2-form of any rank."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    action = draw(st.lists(st.lists(small, min_size=n - 1, max_size=n - 1),
+                           min_size=n - 1, max_size=n - 1))
+    # [e_i, e_n] = -(column i of the action), which satisfies Jacobi for every action
+    brackets = {(i, n): {r + 1: -action[r][i - 1] for r in range(n - 1)} for i in range(1, n)}
+    pairs = list(combinations(range(1, n + 1), 2))
+    values = draw(st.lists(small, min_size=len(pairs), max_size=len(pairs)))
+    return LieAlgebra(n, brackets), KForm(n, 2, dict(zip(pairs, values)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(almost_abelian_pairs())
+def test_automorphism_system_is_the_cartan_system_on_almost_abelian_algebras(
+    cartan_automorphism_system, data
+):
+    assert_system_is_the_cartan_one(*data, cartan_automorphism_system)

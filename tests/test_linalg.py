@@ -122,6 +122,52 @@ def test_integer_elimination_matches_the_fraction_oracle(fraction_eliminate, dat
         assert v == {j: v[f] * x for j, x in expected.items()}
 
 
+@st.composite
+def dense_matrices(draw):
+    """Dense matrices of ints and Fractions up to 6 x 6: square ones half the
+    time, with zero rows, repeated rows, multiples and sums of drawn rows, so
+    that many are singular, and entries with denominators up to 4."""
+    nrows = draw(st.integers(min_value=1, max_value=6))
+    ncols = nrows if draw(st.booleans()) else draw(st.integers(min_value=1, max_value=6))
+    entry = st.one_of(st.integers(min_value=-5, max_value=5),
+                      st.fractions(min_value=-5, max_value=5, max_denominator=4))
+    zero = st.just(0)
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["drawn", "sparse", "zero", "repeat", "combination"]))
+        if kind == "zero" or (not rows and kind in ("repeat", "combination")):
+            rows.append([0] * ncols)
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combination":
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
+            rows.append([x + c * y for x, y in zip(a, b)])
+        else:
+            cells = st.one_of(entry, zero) if kind == "sparse" else entry
+            rows.append(draw(st.lists(cells, min_size=ncols, max_size=ncols)))
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(dense_matrices())
+def test_small_systems_match_the_fraction_gauss_jordan(fraction_gauss_jordan, a):
+    """rref, nullspace and inverse equal the Fraction Gauss-Jordan, Fraction for
+    Fraction, with the pivots found in the same order."""
+    oracle_rref, oracle_nullspace, oracle_inverse = fraction_gauss_jordan
+    reduced, expected = linalg.rref(a), oracle_rref(a)
+    assert reduced == expected and list(reduced) == list(expected)
+    assert all(type(x) is Fraction for row in reduced.values() for x in row.values())
+    kernel = linalg.nullspace(a)
+    assert kernel == oracle_nullspace(a)
+    assert all(type(x) is Fraction for v in kernel for x in v)
+    if len(a) == len(a[0]):
+        inverse = linalg.inverse(a)
+        assert inverse == oracle_inverse(a)
+        assert inverse is None or all(type(x) is Fraction for row in inverse for x in row)
+    assert linalg.rref(a + a) == expected  # a repeated block adds nothing
+
+
 def test_sparse_solve_answers_in_fractions_on_integer_rows():
     """Pivots other than 1 make the solution non-integral; it must be exact, not float."""
     rows = [{0: 2, 1: 1}, {1: 3}, {0: 4, 1: 5}]
